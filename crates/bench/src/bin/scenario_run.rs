@@ -14,7 +14,8 @@
 //!   substring.
 //! * `run` — run matching scenarios, print their verdict/metric
 //!   counters and digests, and check each acceptance clause; exits
-//!   non-zero if any clause fails. Engine flags (cluster family only):
+//!   non-zero if any clause fails. Engine flags (cluster family only;
+//!   any other matching scenario is refused and fails the run):
 //!   `--engine` forces the work-stealing executor even at one worker
 //!   (the digest must not change — CI uses this as a differential gate
 //!   against the sequential reference), `--trial-budget-ms` arms the
@@ -117,7 +118,8 @@ fn cmd_run(zoo: &[(PathBuf, ScenarioSpec)], threads: usize, flags: &EngineFlags)
     for (_, spec) in zoo {
         println!("== {} ({})", spec.name, spec.params.family());
         if flags.active() && spec.params.family() != "cluster" {
-            println!("  skipped: engine flags apply to cluster-family scenarios only");
+            ok = false;
+            println!("  refused: engine flags apply to cluster-family scenarios only");
             continue;
         }
         let resume = match &flags.resume {

@@ -23,7 +23,7 @@ use nlft_machine::workloads::{Workload, DATA_BASE, STACK_TOP};
 use crate::integrity::crc32;
 
 use crate::task::{Criticality, TaskId, TaskSpec};
-use crate::tem::{InjectionPlan, JobOutcome, TemConfig, TemExecutor};
+use crate::tem::{InjectionPlan, JobOutcome, TemConfig, TemExecutor, STATE_WORDS};
 
 /// A task bound to its executable workload.
 #[derive(Debug, Clone)]
@@ -246,7 +246,7 @@ impl NodeExecutive {
         let mut shutdown = vec![false; self.tasks.len()];
         let mut consecutive_errors = vec![0u32; self.tasks.len()];
         // Kernel-side protected copies of each critical task's state region.
-        let mut sealed_state: Vec<Option<(Vec<u32>, u32)>> = vec![None; self.tasks.len()];
+        let mut sealed_state: Vec<Option<([u32; STATE_WORDS], u32)>> = vec![None; self.tasks.len()];
         let mut activations = Vec::new();
         let mut task_cycles = 0u64;
         let mut kernel_cycles = 0u64;
@@ -294,7 +294,7 @@ impl NodeExecutive {
                 }) = injection
                 {
                     if f == frame && task_index == idx {
-                        let addr = DATA_BASE + (offset_words % 0x100) * WORD_BYTES;
+                        let addr = DATA_BASE + (offset_words % STATE_WORDS as u32) * WORD_BYTES;
                         machine
                             .mem
                             .store(addr, value)
@@ -431,24 +431,20 @@ impl NodeExecutive {
 
 /// Kernel-mode raw read of a task's state region (oracle view; the sealed
 /// copy lives in kernel memory, outside the task's MMU map).
-fn read_state(machine: &Machine) -> Vec<u32> {
-    (0..0x100u32)
-        .map(|i| {
-            machine
-                .mem
-                .peek(DATA_BASE + i * WORD_BYTES)
-                .expect("state region is mapped")
-        })
-        .collect()
+fn read_state(machine: &Machine) -> [u32; STATE_WORDS] {
+    let mut state = [0; STATE_WORDS];
+    machine
+        .mem
+        .peek_words(DATA_BASE, &mut state)
+        .expect("state region is mapped");
+    state
 }
 
-fn write_state(machine: &mut Machine, words: &[u32]) {
-    for (i, &w) in words.iter().enumerate() {
-        machine
-            .mem
-            .store(DATA_BASE + i as u32 * WORD_BYTES, w)
-            .expect("state region is mapped");
-    }
+fn write_state(machine: &mut Machine, words: &[u32; STATE_WORDS]) {
+    machine
+        .mem
+        .store_words(DATA_BASE, words)
+        .expect("state region is mapped");
 }
 
 #[cfg(test)]

@@ -173,19 +173,13 @@ impl CrcRegion {
     /// [`IntegrityError::Memory`] if the region is unmapped.
     pub fn write_sealed(&self, m: &mut Machine, data: &[u32]) -> Result<(), IntegrityError> {
         assert!(data.len() as u32 <= self.words, "data exceeds region");
-        for (i, &w) in data.iter().enumerate() {
-            m.mem
-                .store(self.base + i as u32 * WORD_BYTES, w)
-                .map_err(|e| IntegrityError::Memory(e.into()))?;
-        }
-        let mut all = Vec::with_capacity(self.words as usize);
-        for i in 0..self.words {
-            all.push(
-                m.mem
-                    .load(self.base + i * WORD_BYTES)
-                    .map_err(|e| IntegrityError::Memory(e.into()))?,
-            );
-        }
+        m.mem
+            .store_words(self.base, data)
+            .map_err(|e| IntegrityError::Memory(e.into()))?;
+        let mut all = vec![0; self.words as usize];
+        m.mem
+            .load_words(self.base, &mut all)
+            .map_err(|e| IntegrityError::Memory(e.into()))?;
         m.mem
             .store(self.crc_addr(), crc32(&all))
             .map_err(|e| IntegrityError::Memory(e.into()))?;
@@ -199,14 +193,10 @@ impl CrcRegion {
     /// [`IntegrityError::CrcMismatch`] if the contents changed since
     /// sealing; [`IntegrityError::Memory`] if an access traps.
     pub fn read_verified(&self, m: &mut Machine) -> Result<Vec<u32>, IntegrityError> {
-        let mut data = Vec::with_capacity(self.words as usize);
-        for i in 0..self.words {
-            data.push(
-                m.mem
-                    .load(self.base + i * WORD_BYTES)
-                    .map_err(|e| IntegrityError::Memory(e.into()))?,
-            );
-        }
+        let mut data = vec![0; self.words as usize];
+        m.mem
+            .load_words(self.base, &mut data)
+            .map_err(|e| IntegrityError::Memory(e.into()))?;
         let stored = m
             .mem
             .load(self.crc_addr())

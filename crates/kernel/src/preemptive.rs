@@ -30,11 +30,13 @@ use nlft_machine::mmu::{MemoryMap, Perms, Region};
 
 use crate::contract::{ContractOutcomes, DegradationAction, MkContract, TaskContract};
 use crate::task::{Priority, TaskId};
+use crate::tem::fnv1a_words;
 
 /// Size of one task window (code 1 KiB + data 1 KiB + stack 2 KiB).
 pub const WINDOW_BYTES: u32 = 0x1000;
 const CODE_BYTES: u32 = 0x400;
 const DATA_BYTES: u32 = 0x400;
+const DATA_WORDS: usize = (DATA_BYTES / WORD_BYTES) as usize;
 
 /// Static description of a resident task.
 #[derive(Debug, Clone)]
@@ -130,7 +132,7 @@ struct CopyResultVec {
 
 #[derive(Debug, Clone)]
 struct TemJob {
-    snapshot: Vec<u32>,
+    snapshot: [u32; DATA_WORDS],
     results: Vec<CopyResultVec>,
     copies: u32,
     detected: bool,
@@ -606,8 +608,7 @@ impl PreemptiveExecutive {
                         }
                         Some(tem) => {
                             tem.copies += 1;
-                            let snapshot = tem.snapshot.clone();
-                            restore_window(&mut self.machine, base, &snapshot);
+                            restore_window(&mut self.machine, base, &tem.snapshot);
                         }
                     }
                 }
@@ -616,18 +617,7 @@ impl PreemptiveExecutive {
     }
 
     fn digest_window(&self, idx: usize) -> u64 {
-        let base = self.tcbs[idx].window_base;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for i in 0..DATA_BYTES / WORD_BYTES {
-            let w = self
-                .machine
-                .mem
-                .peek(base + CODE_BYTES + i * WORD_BYTES)
-                .expect("data window is mapped");
-            h ^= u64::from(w);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
+        fnv1a_words(&snapshot_window(&self.machine, self.tcbs[idx].window_base))
     }
 
     /// Applies a TEM decision after a copy ended (completed or detected).
@@ -672,9 +662,8 @@ impl PreemptiveExecutive {
                 // Roll the state window back and deliver nothing; the task
                 // stays alive for its next period.
                 let t = &mut self.tcbs[idx];
-                let snapshot = t.tem.as_ref().expect("tem state").snapshot.clone();
-                let base = t.window_base;
-                restore_window(&mut self.machine, base, &snapshot);
+                let snapshot = &t.tem.as_ref().expect("tem state").snapshot;
+                restore_window(&mut self.machine, t.window_base, snapshot);
                 let stats = report.tasks.get_mut(&t.task.id).expect("known task");
                 stats.omissions += 1;
                 stats.deadline_misses += 1;
@@ -742,24 +731,21 @@ fn decide(tem: &TemJob, max_copies: u32) -> TemDecision {
     }
 }
 
-fn snapshot_window(machine: &Machine, base: u32) -> Vec<u32> {
-    (0..DATA_BYTES / WORD_BYTES)
-        .map(|i| {
-            machine
-                .mem
-                .peek(base + CODE_BYTES + i * WORD_BYTES)
-                .expect("data window is mapped")
-        })
-        .collect()
+/// The task's data window as stored, bypassing ECC.
+fn snapshot_window(machine: &Machine, base: u32) -> [u32; DATA_WORDS] {
+    let mut snapshot = [0; DATA_WORDS];
+    machine
+        .mem
+        .peek_words(base + CODE_BYTES, &mut snapshot)
+        .expect("data window is mapped");
+    snapshot
 }
 
-fn restore_window(machine: &mut Machine, base: u32, snapshot: &[u32]) {
-    for (i, &w) in snapshot.iter().enumerate() {
-        machine
-            .mem
-            .store(base + CODE_BYTES + i as u32 * WORD_BYTES, w)
-            .expect("data window is mapped");
-    }
+fn restore_window(machine: &mut Machine, base: u32, snapshot: &[u32; DATA_WORDS]) {
+    machine
+        .mem
+        .store_words(base + CODE_BYTES, snapshot)
+        .expect("data window is mapped");
 }
 
 #[cfg(test)]

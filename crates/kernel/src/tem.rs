@@ -32,6 +32,9 @@ use nlft_machine::workloads::{Workload, DATA_BASE, STACK_TOP};
 /// Size (bytes) of the task state region digested into the result.
 pub const STATE_BYTES: u32 = 0x400;
 
+/// Size (words) of the task state region.
+pub const STATE_WORDS: usize = (STATE_BYTES / WORD_BYTES) as usize;
+
 /// Configuration of the TEM executor for one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TemConfig {
@@ -425,35 +428,36 @@ impl TemExecutor {
     }
 }
 
-fn snapshot_state(machine: &Machine) -> Vec<u32> {
-    (0..STATE_BYTES / WORD_BYTES)
-        .map(|i| {
-            machine
-                .mem
-                .peek(DATA_BASE + i * WORD_BYTES)
-                .expect("state region is mapped")
-        })
-        .collect()
+/// The state region as stored, bypassing ECC (the kernel's sealed copy).
+fn snapshot_state(machine: &Machine) -> [u32; STATE_WORDS] {
+    let mut snapshot = [0; STATE_WORDS];
+    machine
+        .mem
+        .peek_words(DATA_BASE, &mut snapshot)
+        .expect("state region is mapped");
+    snapshot
 }
 
-fn restore_state(machine: &mut Machine, snapshot: &[u32]) {
-    for (i, &w) in snapshot.iter().enumerate() {
-        machine
-            .mem
-            .store(DATA_BASE + i as u32 * WORD_BYTES, w)
-            .expect("state region is mapped");
-    }
+fn restore_state(machine: &mut Machine, snapshot: &[u32; STATE_WORDS]) {
+    machine
+        .mem
+        .store_words(DATA_BASE, snapshot)
+        .expect("state region is mapped");
 }
 
-/// FNV-1a digest of the state region, read through ECC like the kernel would.
+/// Digest of the state region, read through ECC like the kernel would.
 fn digest_state(machine: &mut Machine) -> Result<u64, nlft_machine::machine::Exception> {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for i in 0..STATE_BYTES / WORD_BYTES {
-        let w = machine.mem.load(DATA_BASE + i * WORD_BYTES)?;
-        h ^= u64::from(w);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    Ok(h)
+    let mut state = [0; STATE_WORDS];
+    machine.mem.load_words(DATA_BASE, &mut state)?;
+    Ok(fnv1a_words(&state))
+}
+
+/// FNV-1a over `words` in order, one word per step — the digest folded
+/// into every TEM result vector.
+pub(crate) fn fnv1a_words(words: &[u32]) -> u64 {
+    words.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &w| {
+        (h ^ u64::from(w)).wrapping_mul(0x1000_0000_01b3)
+    })
 }
 
 #[cfg(test)]
@@ -708,28 +712,57 @@ mod tests {
         }
     }
 
-    #[test]
-    fn memory_state_double_flip_detected_via_ecc_digest() {
-        let w = workloads::pid_controller();
-        let (exec, mut m) = executor_for(&w);
-        // Double-bit flip in the state region mid-copy: the completed copy's
-        // state digest read traps on ECC.
-        let plan = InjectionPlan {
+    /// A state word the PID workload never reads: only the digest pass
+    /// after a completed copy touches it.
+    const UNREAD_STATE_WORD: u32 = DATA_BASE + 8;
+
+    fn flip_unread_state_word(mask: u32) -> InjectionPlan {
+        InjectionPlan {
             copy: 0,
             at_cycle: 10,
             fault: TransientFault {
-                target: FaultTarget::MemoryWord(DATA_BASE + 8),
-                mask: 0b11,
+                target: FaultTarget::MemoryWord(UNREAD_STATE_WORD),
+                mask,
             },
-        };
-        let report = exec.run_job(&mut m, &w, &[1000, 900], Some(plan));
-        // Either the copy itself trapped (if it read the word) or the digest
-        // pass caught it; in both cases ECC appears in the detections and
-        // the final result is correct.
-        if !report.detections.is_empty() {
-            assert!(report.detections.contains(&Edm::Ecc));
         }
-        assert!(report.outcome.delivered());
+    }
+
+    #[test]
+    fn memory_state_double_flip_detected_via_ecc_digest() {
+        let w = workloads::pid_controller();
+        let inputs = [1000, 900];
+        let golden = w.golden_run(&inputs).0[0];
+        let (exec, mut m) = executor_for(&w);
+        // The copy completes untouched; its ECC read of the state region
+        // traps on the double flip, so the copy counts as detected and a
+        // replacement (which starts from restored, fault-free state) runs.
+        let report = exec.run_job(&mut m, &w, &inputs, Some(flip_unread_state_word(0b11)));
+        assert_eq!(report.copies[0].result, CopyResult::Detected(Edm::Ecc));
+        assert_eq!(report.detections, vec![Edm::Ecc]);
+        assert_eq!(
+            report.outcome,
+            JobOutcome::DeliveredMasked {
+                detected_by: Edm::Ecc
+            }
+        );
+        assert_eq!(report.outputs.unwrap()[0], golden);
+        assert_eq!(m.mem.faulty_words(), 0, "the restore rewrote the word");
+    }
+
+    #[test]
+    fn memory_state_single_flip_corrected_by_ecc_digest() {
+        let w = workloads::pid_controller();
+        let inputs = [1000, 900];
+        let golden = w.golden_run(&inputs).0[0];
+        let (exec, mut m) = executor_for(&w);
+        let before = m.mem.ecc_stats().corrected;
+        // SEC corrects the flip during the digest read: the digest equals
+        // the clean copy's, so the job is indistinguishable from scenario i.
+        let report = exec.run_job(&mut m, &w, &inputs, Some(flip_unread_state_word(1 << 7)));
+        assert_eq!(m.mem.ecc_stats().corrected, before + 1);
+        assert_eq!(report.outcome, JobOutcome::DeliveredClean);
+        assert_eq!(report.executions(), 2);
+        assert_eq!(report.outputs.unwrap()[0], golden);
     }
 
     #[test]

@@ -19,9 +19,18 @@
 //! the fault-free load path — the overwhelmingly common case — tests one
 //! bit and never touches the sparse flip map, keeping the interpreter's
 //! fetch/load hot loop free of hashing.
+//!
+//! The word-range calls ([`EccMemory::peek_words`],
+//! [`EccMemory::load_words`], [`EccMemory::store_words`]) are semantically
+//! the ascending word-by-word loop over [`EccMemory::peek`],
+//! [`EccMemory::load`] and [`EccMemory::store`] that stops at the first
+//! error: same values, same corrections and counters, same error, same
+//! partial effect. The dirty bitset only picks the path — a range with no
+//! faulty word is one bounds check and one slice copy.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Byte size of one memory word.
 pub const WORD_BYTES: u32 = 4;
@@ -174,6 +183,46 @@ impl EccMemory {
         self.dirty[idx >> 6] &= !(1u64 << (idx & 63));
     }
 
+    /// `true` when no word in `range` carries an injected fault.
+    fn range_clean(&self, range: &Range<usize>) -> bool {
+        if range.is_empty() {
+            return true;
+        }
+        let (first, last) = (range.start >> 6, (range.end - 1) >> 6);
+        let head = !0u64 << (range.start & 63);
+        let tail = !0u64 >> (63 - ((range.end - 1) & 63));
+        if first == last {
+            return self.dirty[first] & head & tail == 0;
+        }
+        self.dirty[first] & head == 0
+            && self.dirty[first + 1..last].iter().all(|&w| w == 0)
+            && self.dirty[last] & tail == 0
+    }
+
+    /// The in-bounds word indices of a `len`-word access starting at byte
+    /// address `base`, plus the error an ascending word-by-word walk would
+    /// stop at after them (`None` when every word is mapped).
+    fn word_range(&self, base: u32, len: usize) -> (Range<usize>, Option<MemError>) {
+        if len == 0 {
+            return (0..0, None);
+        }
+        if !base.is_multiple_of(WORD_BYTES) {
+            return (0..0, Some(MemError::Misaligned { addr: base }));
+        }
+        let start = ((base / WORD_BYTES) as usize).min(self.words.len());
+        let n = len.min(self.words.len() - start);
+        // `start + n` never exceeds the word count, so the first unmapped
+        // address fits in a u32 whenever `n > 0`.
+        let err = (n < len).then(|| MemError::Bus {
+            addr: if n == 0 {
+                base
+            } else {
+                ((start + n) as u32) * WORD_BYTES
+            },
+        });
+        (start..start + n, err)
+    }
+
     fn word_index(&self, addr: u32) -> Result<usize, MemError> {
         if !addr.is_multiple_of(WORD_BYTES) {
             return Err(MemError::Misaligned { addr });
@@ -254,6 +303,66 @@ impl EccMemory {
         Ok(self.words[idx])
     }
 
+    /// Reads `out.len()` consecutive words from byte address `base`,
+    /// bypassing ECC and fault masks, like [`EccMemory::peek`] on each.
+    ///
+    /// # Errors
+    ///
+    /// The first error of the word-by-word walk; `out` then holds the
+    /// words before it.
+    pub fn peek_words(&self, base: u32, out: &mut [u32]) -> Result<(), MemError> {
+        let (range, err) = self.word_range(base, out.len());
+        out[..range.len()].copy_from_slice(&self.words[range]);
+        err.map_or(Ok(()), Err)
+    }
+
+    /// Loads `out.len()` consecutive words from byte address `base` with
+    /// exactly the semantics of ascending [`EccMemory::load`] calls: the
+    /// same corrections, scrubs, escape counts and generation bumps, and
+    /// the walk stops at the first error.
+    ///
+    /// # Errors
+    ///
+    /// The first error of the word-by-word walk (misaligned base, unmapped
+    /// word or uncorrectable ECC); `out` then holds the words before it.
+    pub fn load_words(&mut self, base: u32, out: &mut [u32]) -> Result<(), MemError> {
+        let (range, err) = self.word_range(base, out.len());
+        if self.range_clean(&range) {
+            out[..range.len()].copy_from_slice(&self.words[range]);
+        } else {
+            for (slot, idx) in out.iter_mut().zip(range) {
+                *slot = if self.is_dirty(idx) {
+                    self.load_faulty(idx as u32 * WORD_BYTES, idx)?
+                } else {
+                    self.words[idx]
+                };
+            }
+        }
+        err.map_or(Ok(()), Err)
+    }
+
+    /// Stores `words` at consecutive addresses from byte address `base`,
+    /// exactly like ascending [`EccMemory::store`] calls: every rewritten
+    /// word loses its injected flips, and the generation does not move.
+    ///
+    /// # Errors
+    ///
+    /// The first error of the word-by-word walk; the words before it are
+    /// stored.
+    pub fn store_words(&mut self, base: u32, words: &[u32]) -> Result<(), MemError> {
+        let (range, err) = self.word_range(base, words.len());
+        if !self.range_clean(&range) {
+            for idx in range.clone() {
+                if self.is_dirty(idx) {
+                    self.flips.remove(&(idx as u32));
+                    self.clear_dirty(idx);
+                }
+            }
+        }
+        self.words[range.clone()].copy_from_slice(&words[..range.len()]);
+        err.map_or(Ok(()), Err)
+    }
+
     /// XORs `mask` into the injected-fault state of the word at `addr`.
     ///
     /// Does nothing (and returns `false`) for invalid addresses — fault
@@ -302,9 +411,7 @@ impl EccMemory {
     ///
     /// Fails like [`EccMemory::store`] on the first invalid address.
     pub fn load_image(&mut self, base: u32, words: &[u32]) -> Result<(), MemError> {
-        for (i, &w) in words.iter().enumerate() {
-            self.store(base + (i as u32) * WORD_BYTES, w)?;
-        }
+        self.store_words(base, words)?;
         self.generation = self.generation.wrapping_add(1);
         Ok(())
     }
@@ -454,6 +561,39 @@ mod tests {
         assert_eq!(m.load(16).unwrap(), 1);
         assert_eq!(m.load(20).unwrap(), 2);
         assert_eq!(m.load(24).unwrap(), 3);
+    }
+
+    #[test]
+    fn word_range_calls_stop_at_the_first_error() {
+        let mut m = EccMemory::new(64);
+        m.store_words(0, &[1, 2, 3, 4]).unwrap();
+        m.inject_flip(4, 0b1);
+        m.inject_flip(8, 0b11);
+        m.inject_flip(12, 0b1);
+        let mut out = [0; 4];
+        // Word 1 is corrected and scrubbed, word 2 traps, word 3 is never read.
+        assert_eq!(
+            m.load_words(0, &mut out),
+            Err(MemError::EccUncorrectable { addr: 8 })
+        );
+        assert_eq!(out, [1, 2, 0, 0]);
+        assert_eq!(m.ecc_stats().corrected, 1);
+        assert_eq!(m.faulty_words(), 2);
+        // A store over the range clears every flip it covers.
+        m.store_words(8, &[7, 8]).unwrap();
+        assert_eq!(m.faulty_words(), 0);
+        // A range running off the end fails at the first unmapped word.
+        assert_eq!(m.peek_words(56, &mut out), Err(MemError::Bus { addr: 64 }));
+        assert_eq!(&out[..2], &[0, 0]);
+        assert_eq!(
+            m.peek_words(2, &mut out),
+            Err(MemError::Misaligned { addr: 2 })
+        );
+        assert_eq!(
+            m.peek_words(3, &mut []),
+            Ok(()),
+            "an empty range is no access"
+        );
     }
 
     #[test]

@@ -4,6 +4,7 @@ use nlft_machine::asm::{assemble, disassemble};
 use nlft_machine::fault::{run_with_injection, FaultSpace};
 use nlft_machine::isa::{Instr, Reg};
 use nlft_machine::machine::{Machine, RunExit};
+use nlft_machine::mem::{EccMemory, EccStats, MemError, WORD_BYTES};
 use nlft_machine::mmu::MemoryMap;
 use nlft_machine::workloads;
 use nlft_sim::rng::RngStream;
@@ -358,6 +359,163 @@ fn stuck_at_detection_classifies_consistently() {
             let b = run();
             prop_assert_eq!(a.0, b.0, "exit and cycles must repeat exactly");
             prop_assert_eq!(a.1, b.1, "outputs must repeat exactly");
+            Ok(())
+        },
+    );
+}
+
+/// One word-range call of the bulk-vs-word-by-word differential.
+#[derive(Debug, Clone, Copy)]
+enum RangeOp {
+    Peek,
+    Load,
+    Store,
+}
+
+/// A memory, its contents and planted faults, and a short sequence of
+/// word-range calls to replay through both APIs.
+#[derive(Debug)]
+struct RangeCase {
+    ecc: bool,
+    image: Vec<u32>,
+    /// `(word index, mask)`; a repeated pair cancels itself.
+    flips: Vec<(u32, u32)>,
+    ops: Vec<(RangeOp, u32, Vec<u32>)>,
+}
+
+fn arb_range_case(r: &mut TkRng) -> RangeCase {
+    // Up to 200 words, so ranges cross the 64-word lanes of the dirty
+    // bitset.
+    let image: Vec<u32> = (0..r.usize_range(1, 200)).map(|_| r.next_u32()).collect();
+    let words = image.len() as u32;
+    let mut flips = Vec::new();
+    for _ in 0..r.usize_range(0, 6) {
+        let idx = r.range(0, u64::from(words)) as u32;
+        let bit = 1u32 << r.range(0, 32);
+        match r.usize_range(0, 3) {
+            0 => flips.push((idx, bit)),
+            1 => flips.push((idx, bit | bit.rotate_left(1 + r.range(0, 31) as u32))),
+            _ => flips.extend([(idx, bit), (idx, bit)]),
+        }
+    }
+    let ops = (0..r.usize_range(1, 4))
+        .map(|_| {
+            let op = [RangeOp::Peek, RangeOp::Load, RangeOp::Store][r.usize_range(0, 3)];
+            let base = match r.usize_range(0, 8) {
+                // Misaligned.
+                0 => r.range(0, u64::from(words) * 4) as u32 | (1 + r.range(0, 3) as u32),
+                // Out of range, up to the top of the address space.
+                1 => [
+                    words * 4,
+                    words * 4 + 4 * r.range(0, 64) as u32,
+                    u32::MAX - 3,
+                ][r.usize_range(0, 3)],
+                // Ending at or past the last word.
+                2 => (words - 1 - r.range(0, u64::from(words.min(8))) as u32) * 4,
+                _ => r.range(0, u64::from(words)) as u32 * 4,
+            };
+            let data = (0..r.usize_range(0, 140)).map(|_| r.next_u32()).collect();
+            (op, base, data)
+        })
+        .collect();
+    RangeCase {
+        ecc: r.bool(),
+        image,
+        flips,
+        ops,
+    }
+}
+
+/// What one range call returned: the filled buffer and the `Result`.
+type RangeReply = (Vec<u32>, Result<(), MemError>);
+
+fn apply_bulk(m: &mut EccMemory, op: RangeOp, base: u32, data: &[u32]) -> RangeReply {
+    let mut out = vec![0x5A5A_5A5A; data.len()];
+    let res = match op {
+        RangeOp::Peek => m.peek_words(base, &mut out),
+        RangeOp::Load => m.load_words(base, &mut out),
+        RangeOp::Store => m.store_words(base, data),
+    };
+    (out, res)
+}
+
+/// The reference: ascending single-word calls, stopping at the first error.
+fn apply_each(m: &mut EccMemory, op: RangeOp, base: u32, data: &[u32]) -> RangeReply {
+    let mut out = vec![0x5A5A_5A5A; data.len()];
+    let mut res = Ok(());
+    for (i, &w) in data.iter().enumerate() {
+        let addr = base.wrapping_add(i as u32 * WORD_BYTES);
+        let step = match op {
+            RangeOp::Peek => m.peek(addr).map(|v| out[i] = v),
+            RangeOp::Load => m.load(addr).map(|v| out[i] = v),
+            RangeOp::Store => m.store(addr, w),
+        };
+        if let Err(e) = step {
+            res = Err(e);
+            break;
+        }
+    }
+    (out, res)
+}
+
+/// Everything observable about a memory: counters, generation, faulty
+/// word count, the stored words, and what an ECC read of every word
+/// returns (on a clone, so the hidden flip masks are compared too).
+#[derive(Debug, PartialEq)]
+struct MemView {
+    stats: EccStats,
+    generation: u64,
+    faulty_words: usize,
+    peeks: Vec<u32>,
+    loads: Vec<Result<u32, MemError>>,
+    stats_after_loads: EccStats,
+}
+
+fn observe(m: &EccMemory) -> MemView {
+    let words = m.size_bytes() / WORD_BYTES;
+    let mut probe = m.clone();
+    let loads = (0..words).map(|i| probe.load(i * WORD_BYTES)).collect();
+    MemView {
+        stats: m.ecc_stats(),
+        generation: m.generation(),
+        faulty_words: m.faulty_words(),
+        peeks: (0..words)
+            .map(|i| m.peek(i * WORD_BYTES).unwrap())
+            .collect(),
+        loads,
+        stats_after_loads: probe.ecc_stats(),
+    }
+}
+
+/// `peek_words`, `load_words` and `store_words` are the ascending
+/// word-by-word loops over `peek`, `load` and `store`, bit for bit: same
+/// values and errors, same corrections, escapes, scrubs and generation
+/// bumps, same memory afterwards — with ECC on and off, under single,
+/// double and self-cancelling flips, on misaligned, out-of-range and
+/// overhanging ranges. The dirty bitset only picks the path.
+#[test]
+fn word_range_calls_equal_word_by_word_calls() {
+    SUITE.check(
+        "word_range_calls_equal_word_by_word_calls",
+        arb_range_case,
+        |case| {
+            let bytes = case.image.len() as u32 * WORD_BYTES;
+            let mut bulk = if case.ecc {
+                EccMemory::new(bytes)
+            } else {
+                EccMemory::new_without_ecc(bytes)
+            };
+            bulk.load_image(0, &case.image).unwrap();
+            for &(idx, mask) in &case.flips {
+                bulk.inject_flip(idx * WORD_BYTES, mask);
+            }
+            let mut each = bulk.clone();
+            for (step, (op, base, data)) in case.ops.iter().enumerate() {
+                let got = apply_bulk(&mut bulk, *op, *base, data);
+                let want = apply_each(&mut each, *op, *base, data);
+                prop_assert_eq!(&got, &want, "reply of op {step} ({op:?})");
+                prop_assert_eq!(observe(&bulk), observe(&each), "state after op {step}");
+            }
             Ok(())
         },
     );
