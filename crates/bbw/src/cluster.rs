@@ -37,6 +37,7 @@
 //! drops fail-silent for good.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use nlft_core::diagnosis::{AlphaCountConfig, NodeSupervisor};
 use nlft_kernel::contract::MkContract;
@@ -262,6 +263,34 @@ struct StationRuntime {
     core_dead: bool,
 }
 
+/// The two station programs and their golden-run cycle counts. Assembly
+/// and the golden runs are deterministic, so every cluster shares one
+/// copy, built on first use.
+struct StationPrograms {
+    dist: Workload,
+    dist_cycles: u64,
+    pid: Workload,
+    pid_cycles: u64,
+}
+
+impl StationPrograms {
+    fn get() -> &'static StationPrograms {
+        static PROGRAMS: OnceLock<StationPrograms> = OnceLock::new();
+        PROGRAMS.get_or_init(|| {
+            let dist = workloads::brake_distribution();
+            let (_, dist_cycles) = dist.golden_run(&[1000]);
+            let pid = workloads::pid_controller();
+            let (_, pid_cycles) = pid.golden_run(&[1000, 900]);
+            StationPrograms {
+                dist,
+                dist_cycles,
+                pid,
+                pid_cycles,
+            }
+        })
+    }
+}
+
 impl StationRuntime {
     fn new(workload: Workload, clean_cycles: u64) -> Self {
         let machine = workload.instantiate();
@@ -469,18 +498,20 @@ impl BbwCluster {
         // scaled-down versions of the paper's 1.6 s / 3 s windows.
         let membership = Membership::new(&config, 2, 2);
 
-        let dist = workloads::brake_distribution();
-        let (_, dist_cycles) = dist.golden_run(&[1000]);
-        let pid = workloads::pid_controller();
-        let (_, pid_cycles) = pid.golden_run(&[1000, 900]);
-
+        let programs = StationPrograms::get();
         let mut cu = BTreeMap::new();
         for id in [CU_A, CU_B] {
-            cu.insert(id, StationRuntime::new(dist.clone(), dist_cycles));
+            cu.insert(
+                id,
+                StationRuntime::new(programs.dist.clone(), programs.dist_cycles),
+            );
         }
         let mut wheels = BTreeMap::new();
         for id in WHEELS {
-            wheels.insert(id, StationRuntime::new(pid.clone(), pid_cycles));
+            wheels.insert(
+                id,
+                StationRuntime::new(programs.pid.clone(), programs.pid_cycles),
+            );
         }
         let cu_pair = DuplexPair::new(CU_A, CU_B);
         // The front axle carries most of the braking load, so its service

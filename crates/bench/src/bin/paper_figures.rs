@@ -12,13 +12,64 @@ use nlft_bench::{ablation, fig12, fig13, fig14, report, rta, table1, xcheck};
 use nlft_core::policy::NodePolicy;
 use nlft_testkit::json::{Json, ToJson};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let csv = args.iter().any(|a| a == "--csv");
-    let trials = flag_value(&args, "--trials").unwrap_or(20_000);
-    let reps = flag_value(&args, "--reps").unwrap_or(20_000);
+const USAGE: &str = "usage: paper_figures [--csv] [--json] [--trials N] [--reps N]";
 
-    if args.iter().any(|a| a == "--json") {
+/// Command-line options.
+#[derive(Debug, PartialEq)]
+struct Options {
+    csv: bool,
+    json: bool,
+    trials: u64,
+    reps: u64,
+}
+
+/// Parses the arguments after the program name. Unknown flags, missing
+/// values and values that are not unsigned integers are errors.
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut opts = Options {
+        csv: false,
+        json: false,
+        trials: 20_000,
+        reps: 20_000,
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--csv" => opts.csv = true,
+            "--json" => opts.json = true,
+            flag @ ("--trials" | "--reps") => {
+                let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+                let n = value
+                    .parse()
+                    .map_err(|_| format!("{flag}: '{value}' is not an unsigned integer"))?;
+                if flag == "--trials" {
+                    opts.trials = n;
+                } else {
+                    opts.reps = n;
+                }
+            }
+            other => return Err(format!("unknown argument '{other}'")),
+        }
+    }
+    Ok(opts)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Options {
+        csv,
+        json,
+        trials,
+        reps,
+    } = match parse_args(&args) {
+        Ok(opts) => opts,
+        Err(msg) => {
+            eprintln!("paper_figures: {msg}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+
+    if json {
         let doc = Json::obj([
             ("fig12", fig12::generate().to_json()),
             ("fig13", fig13::generate().to_json()),
@@ -229,9 +280,48 @@ fn main() {
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn defaults_and_every_flag_parse() {
+        let defaults = parse(&[]).unwrap();
+        assert_eq!(
+            defaults,
+            Options {
+                csv: false,
+                json: false,
+                trials: 20_000,
+                reps: 20_000
+            }
+        );
+        let all = parse(&["--json", "--trials", "200", "--csv", "--reps", "300"]).unwrap();
+        assert_eq!(
+            all,
+            Options {
+                csv: true,
+                json: true,
+                trials: 200,
+                reps: 300
+            }
+        );
+    }
+
+    #[test]
+    fn bad_arguments_are_refused() {
+        for bad in [
+            &["--trails", "5"][..],
+            &["--trials", "abc"],
+            &["--trials"],
+            &["--reps", "-1"],
+            &["--json", "extra"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be refused");
+        }
+    }
 }

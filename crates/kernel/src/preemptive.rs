@@ -30,7 +30,7 @@ use nlft_machine::mmu::{MemoryMap, Perms, Region};
 
 use crate::contract::{ContractOutcomes, DegradationAction, MkContract, TaskContract};
 use crate::task::{Priority, TaskId};
-use crate::tem::fnv1a_words;
+use crate::tem::fold_words;
 
 /// Size of one task window (code 1 KiB + data 1 KiB + stack 2 KiB).
 pub const WINDOW_BYTES: u32 = 0x1000;
@@ -617,7 +617,7 @@ impl PreemptiveExecutive {
     }
 
     fn digest_window(&self, idx: usize) -> u64 {
-        fnv1a_words(&snapshot_window(&self.machine, self.tcbs[idx].window_base))
+        fold_words(&snapshot_window(&self.machine, self.tcbs[idx].window_base))
     }
 
     /// Applies a TEM decision after a copy ended (completed or detected).

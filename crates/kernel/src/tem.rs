@@ -14,22 +14,27 @@
 //!    time remains, **no result is delivered** (omission failure) — the
 //!    task's state is rolled back so a later activation starts clean.
 //!
-//! The result of a task is its output-port vector *plus* a digest of its
-//! state region *plus* its control-flow path signature — a computation
-//! error that corrupts only state, or a control-flow error that bypasses
-//! the output-producing code (§2.7), must not slip past the comparison.
+//! The result of a task is its output-port vector *plus* its state region
+//! (read through ECC) *plus* its control-flow path signature — a
+//! computation error that corrupts only state, or a control-flow error
+//! that bypasses the output-producing code (§2.7), must not slip past the
+//! comparison. Two state regions match when they are equal word for word
+//! or, failing that, when their `fold_words` values are equal: the
+//! comparison is defined by the fold, and the word-for-word check only
+//! spares clean jobs from computing it.
 //! State is committed only when two matching results exist (§2.5: "state
 //! data are only updated when two matching results have been produced").
 
+use std::cell::OnceCell;
 use std::fmt;
 
 use nlft_machine::edm::Edm;
 use nlft_machine::fault::{StuckAtFault, TransientFault};
-use nlft_machine::machine::{Machine, RunExit, NUM_PORTS};
+use nlft_machine::machine::{Exception, Machine, RunExit, NUM_PORTS};
 use nlft_machine::mem::WORD_BYTES;
 use nlft_machine::workloads::{Workload, DATA_BASE, STACK_TOP};
 
-/// Size (bytes) of the task state region digested into the result.
+/// Size (bytes) of the task state region carried in the result.
 pub const STATE_BYTES: u32 = 0x400;
 
 /// Size (words) of the task state region.
@@ -80,7 +85,7 @@ impl TemConfig {
 /// How one execution (copy) of the task ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CopyResult {
-    /// Copy ran to completion and produced a result (digest of outputs+state).
+    /// Copy ran to completion and produced a result (outputs, state, path).
     Completed,
     /// An EDM terminated the copy.
     Detected(Edm),
@@ -184,15 +189,37 @@ pub enum JobFault {
     StuckAt(StuckAtFault),
 }
 
-/// One execution's captured result: outputs, a state digest, and the
-/// control-flow path signature. Including the signature closes the §2.7
-/// gap: a control-flow error that skips or repeats code yet happens to
-/// leave outputs and state intact still diverges from the clean copy here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One execution's captured result: outputs, the ECC-read state region,
+/// and the control-flow path signature. Including the signature closes
+/// the §2.7 gap: a control-flow error that skips or repeats code yet
+/// happens to leave outputs and state intact still diverges from the clean
+/// copy here.
+#[derive(Debug, Clone)]
 struct ResultVector {
     outputs: [Option<u32>; NUM_PORTS],
-    state_digest: u64,
     path_sig: u64,
+    state: [u32; STATE_WORDS],
+    /// [`fold_words`] of `state`, computed at most once and only when a
+    /// comparison finds two regions that differ.
+    fold: OnceCell<u64>,
+}
+
+impl ResultVector {
+    fn state_fold(&self) -> u64 {
+        *self.fold.get_or_init(|| fold_words(&self.state))
+    }
+}
+
+/// Equal outputs, equal path signatures and equal state folds. Equal
+/// regions have equal folds, so a word-for-word match settles the state
+/// without folding; only differing regions pay for the two folds, and two
+/// differing regions whose folds collide still compare equal.
+impl PartialEq for ResultVector {
+    fn eq(&self, other: &Self) -> bool {
+        self.outputs == other.outputs
+            && self.path_sig == other.path_sig
+            && (self.state == other.state || self.state_fold() == other.state_fold())
+    }
 }
 
 /// The TEM executor for one workload.
@@ -203,7 +230,22 @@ pub struct TemExecutor {
 
 impl TemExecutor {
     /// Creates an executor with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config.max_results < 2` (a job needs two results to
+    /// compare) or `config.min_results > 3` (the vote reads three).
     pub fn new(config: TemConfig) -> Self {
+        assert!(
+            config.max_results >= 2,
+            "TEM needs max_results >= 2 to compare, got {}",
+            config.max_results
+        );
+        assert!(
+            config.min_results <= 3,
+            "TEM votes over at most 3 results, got min_results {}",
+            config.min_results
+        );
         TemExecutor { config }
     }
 
@@ -243,7 +285,7 @@ impl TemExecutor {
         let mut cycles_used: u64 = 0;
         let mut copies: Vec<CopyTrace> = Vec::new();
         let mut detections: Vec<Edm> = Vec::new();
-        let mut results: Vec<ResultVector> = Vec::new();
+        let mut results: Vec<ResultVector> = Vec::with_capacity(3);
         // Snapshot the state region so every copy starts from identical
         // state, and so an omission can roll back (§2.6).
         let state_snapshot = snapshot_state(machine);
@@ -312,10 +354,15 @@ impl TemExecutor {
                 cycles_used += exit.cycles_used;
                 match exit.exit {
                     RunExit::Halted => {
-                        // Digest the state region; an ECC trap while reading
-                        // state counts as a detection of this copy.
-                        match digest_state(machine) {
-                            Ok(state_digest) => {
+                        // Read the state region through ECC; a trap while
+                        // reading state counts as a detection of this copy.
+                        let mut state = [0; STATE_WORDS];
+                        match machine
+                            .mem
+                            .load_words(DATA_BASE, &mut state)
+                            .map_err(Exception::from)
+                        {
+                            Ok(()) => {
                                 copies.push(CopyTrace {
                                     index,
                                     result: CopyResult::Completed,
@@ -323,8 +370,9 @@ impl TemExecutor {
                                 });
                                 results.push(ResultVector {
                                     outputs: *machine.outputs(),
-                                    state_digest,
                                     path_sig: machine.cpu.path_sig,
+                                    state,
+                                    fold: OnceCell::new(),
                                 });
                             }
                             Err(e) => {
@@ -395,20 +443,20 @@ impl TemExecutor {
             // The third result was executed last, so if it belongs to the
             // majority the machine state is already the winner's.
             let winner = if results[2] == results[0] || results[2] == results[1] {
-                Some(results[2])
+                Some(2)
             } else if results[0] == results[1] {
                 // Cannot happen via the mismatch path, but a replacement
                 // sequence can produce it; state must be re-materialised by
                 // re-running the winning copy — model as accepting result 1
-                // whose state digest equals result 0's.
-                Some(results[1])
+                // whose state matches result 0's.
+                Some(1)
             } else {
                 None
             };
             return match winner {
                 Some(w) => {
                     let first = detections.first().copied();
-                    deliver(first, w.outputs, copies, cycles_used, detections)
+                    deliver(first, results[w].outputs, copies, cycles_used, detections)
                 }
                 None => {
                     detections.push(Edm::TemVote);
@@ -445,16 +493,13 @@ fn restore_state(machine: &mut Machine, snapshot: &[u32; STATE_WORDS]) {
         .expect("state region is mapped");
 }
 
-/// Digest of the state region, read through ECC like the kernel would.
-fn digest_state(machine: &mut Machine) -> Result<u64, nlft_machine::machine::Exception> {
-    let mut state = [0; STATE_WORDS];
-    machine.mem.load_words(DATA_BASE, &mut state)?;
-    Ok(fnv1a_words(&state))
-}
-
-/// FNV-1a over `words` in order, one word per step — the digest folded
-/// into every TEM result vector.
-pub(crate) fn fnv1a_words(words: &[u32]) -> u64 {
+/// Folds `words` in ascending order, one word per step, starting from the
+/// FNV-1a offset basis `0xcbf2_9ce4_8422_2325`: `h = (h ^ w) * m` with
+/// wrapping multiplication by `m = 0x1000_0000_01b3` (2^44 + 0x1b3). The
+/// multiplier is *not* the FNV-64 prime `0x100_0000_01b3` (2^40 + 0x1b3)
+/// that the CPU's path signature uses; it is kept because TEM equality
+/// and the preemptive kernel's window digest are defined by this fold.
+pub(crate) fn fold_words(words: &[u32]) -> u64 {
     words.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &w| {
         (h ^ u64::from(w)).wrapping_mul(0x1000_0000_01b3)
     })
@@ -712,8 +757,8 @@ mod tests {
         }
     }
 
-    /// A state word the PID workload never reads: only the digest pass
-    /// after a completed copy touches it.
+    /// A state word the PID workload never reads: only the ECC read of the
+    /// state region after a completed copy touches it.
     const UNREAD_STATE_WORD: u32 = DATA_BASE + 8;
 
     fn flip_unread_state_word(mask: u32) -> InjectionPlan {
@@ -756,7 +801,7 @@ mod tests {
         let golden = w.golden_run(&inputs).0[0];
         let (exec, mut m) = executor_for(&w);
         let before = m.mem.ecc_stats().corrected;
-        // SEC corrects the flip during the digest read: the digest equals
+        // SEC corrects the flip during the state read: the region equals
         // the clean copy's, so the job is indistinguishable from scenario i.
         let report = exec.run_job(&mut m, &w, &inputs, Some(flip_unread_state_word(1 << 7)));
         assert_eq!(m.mem.ecc_stats().corrected, before + 1);
@@ -907,6 +952,97 @@ mod tests {
         let report = exec.run_job_with_fault(&mut m, &w, &[100], Some(JobFault::StuckAt(stuck)));
         assert_eq!(report.outcome, JobOutcome::DeliveredClean);
         assert_eq!(report.outputs.unwrap()[0], Some(5050));
+    }
+
+    /// Two different 256-word regions whose folds collide at
+    /// `0x763b_07d9_e319_fa30`.
+    fn colliding_regions() -> ([u32; STATE_WORDS], [u32; STATE_WORDS]) {
+        let mut a = [0; STATE_WORDS];
+        a[..2].copy_from_slice(&[0x30e3_8d5f, 0x8b8e_a6de]);
+        let mut b = [0; STATE_WORDS];
+        b[..3].copy_from_slice(&[0xa0b2_df66, 0xff48_16c6, 0x0286_bc1d]);
+        (a, b)
+    }
+
+    fn result_with_state(state: [u32; STATE_WORDS]) -> ResultVector {
+        let mut outputs = [None; NUM_PORTS];
+        outputs[0] = Some(42);
+        ResultVector {
+            outputs,
+            path_sig: 0x5151,
+            state,
+            fold: OnceCell::new(),
+        }
+    }
+
+    #[test]
+    fn colliding_state_regions_compare_equal() {
+        let (a, b) = colliding_regions();
+        assert_ne!(a, b, "the regions differ");
+        assert_eq!(fold_words(&a), 0x763b_07d9_e319_fa30);
+        assert_eq!(fold_words(&a), fold_words(&b), "the folds collide");
+        // Equality is defined by the fold, so a collision matches.
+        let (ra, rb) = (result_with_state(a), result_with_state(b));
+        assert!(ra == rb, "colliding regions must compare equal");
+        assert!(rb == ra);
+        // The differing regions forced both folds, and both are memoised.
+        assert_eq!(ra.fold.get(), Some(&0x763b_07d9_e319_fa30));
+        assert_eq!(rb.fold.get(), Some(&0x763b_07d9_e319_fa30));
+    }
+
+    #[test]
+    fn result_equality_agrees_with_the_fold() {
+        use nlft_testkit::prop::Suite;
+        use nlft_testkit::{prop_assert, prop_assert_eq};
+
+        // `a` gets random words in a random-length prefix; the pair is
+        // (a, a), a against a copy with one word XOR-flipped, or the
+        // colliding pair.
+        Suite::new(0x5EED_F01D).check(
+            "result_equality_agrees_with_the_fold",
+            |r| {
+                let mut a = [0u32; STATE_WORDS];
+                for w in a.iter_mut().take(r.usize_range(0, STATE_WORDS + 1)) {
+                    *w = r.next_u32();
+                }
+                match r.range(0, 3) {
+                    0 => (a, a),
+                    1 => {
+                        let mut b = a;
+                        b[r.usize_range(0, STATE_WORDS)] ^= r.next_u32() | 1;
+                        (a, b)
+                    }
+                    _ => colliding_regions(),
+                }
+            },
+            |(a, b)| {
+                let expected = fold_words(a) == fold_words(b);
+                let (ra, rb) = (result_with_state(*a), result_with_state(*b));
+                prop_assert_eq!(ra == rb, expected);
+                prop_assert_eq!(rb == ra, expected);
+                // Identical regions never pay for a fold.
+                if a == b {
+                    prop_assert!(ra.fold.get().is_none() && rb.fold.get().is_none());
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "max_results >= 2")]
+    fn executor_rejects_fewer_than_two_results() {
+        let mut cfg = TemConfig::with_budget(100);
+        cfg.max_results = 1;
+        TemExecutor::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 3 results")]
+    fn executor_rejects_more_than_three_minimum_results() {
+        let mut cfg = TemConfig::with_budget(100);
+        cfg.min_results = 4;
+        TemExecutor::new(cfg);
     }
 
     #[test]

@@ -50,6 +50,21 @@ cargo run --release --offline -p nlft-bench --bin scenario_run -- \
 cargo run --release --offline -p nlft-bench --bin scenario_run -- \
     run babbling-wheel --engine --resume "$ckpt"
 
+# Benchmark oracle: the perfbench self-tests, then one short end-to-end
+# run per workload. Every run re-checks the scaled campaign digests in
+# perfbench/expected.txt (the widest net for a changed TEM decision on a
+# rarely hit path); its last line must report `"failed":0`.
+echo "== perfbench: self-tests + one oracle run per workload =="
+cargo test --offline --manifest-path perfbench/Cargo.toml
+for workload in cluster-zoo node-zoo fig12-montecarlo; do
+    last="$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 0 --seconds 1 --trace 0 | tail -n 1)"
+    case "$last" in
+        *'"failed":0,'*) echo "perfbench $workload: failed 0" ;;
+        *) echo "perfbench $workload: oracle failed: $last" >&2; exit 1 ;;
+    esac
+done
+
 # Bench trajectory: re-measure the groups in the committed baseline and
 # compare. Timing deltas are advisory only (hardware varies between
 # machines), so slowdowns print warnings; golden-digest drift — a
