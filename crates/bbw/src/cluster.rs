@@ -965,16 +965,12 @@ impl BbwCluster {
                     if let Some(outputs) = result {
                         // Degraded-mode redistribution: scale the shares of the
                         // serving wheels when some are out of the membership.
-                        let serving: Vec<usize> = (0..4)
-                            .filter(|&w| self.membership.is_member(WHEELS[w]))
-                            .collect();
+                        let serving = |w: &usize| self.membership.is_member(WHEELS[*w]);
+                        let scale_den = (0..4).filter(serving).count() as u32;
                         let mut payload = vec![0u32; 4];
-                        if !serving.is_empty() {
-                            let scale_num = 4_u32;
-                            let scale_den = serving.len() as u32;
-                            for &w in &serving {
-                                payload[w] = outputs[w] * scale_num / scale_den;
-                            }
+                        // With no wheel serving, nothing is divided.
+                        for w in (0..4).filter(serving) {
+                            payload[w] = outputs[w] * 4 / scale_den;
                         }
                         // Seal the set-points with a sequence number and
                         // CRC: the wheel-side acceptor can then reject

@@ -7,6 +7,7 @@ use nlft_kernel::preemptive::{PreemptiveExecutive, ResidentTask};
 use nlft_kernel::sched::FpSimulator;
 use nlft_kernel::task::{Criticality, Priority, TaskId, TaskSet, TaskSpecBuilder};
 use nlft_kernel::tem::{TemConfig, TemExecutor};
+use nlft_machine::machine::Machine;
 use nlft_machine::workloads;
 use nlft_net::bus::{Bus, BusConfig};
 use nlft_net::frame::NodeId;
@@ -90,17 +91,51 @@ fn bench_faulttree() {
     b.finish();
 }
 
+/// Instructions one run of `m` retires from its current state.
+fn retired_instructions(mut m: Machine) -> u64 {
+    m.enable_trace(1 << 20);
+    m.run(100_000);
+    m.trace().count() as u64
+}
+
 fn bench_machine() {
     let pid = workloads::pid_controller();
     let (_, cycles) = pid.golden_run(&[1000, 900]);
 
     let mut b = Bench::new("machine");
+    // A fresh machine per iteration: mostly instantiation.
     b.bench_throughput("pid_single_run", cycles, || {
         let mut m = pid.instantiate();
         m.set_input(0, 1000);
         m.set_input(1, 900);
         black_box(m.run(100_000))
     });
+
+    // One machine, reset and re-run: the path every TEM copy takes. Rates
+    // are per retired instruction.
+    let warm = |w: &workloads::Workload, inputs: &[u32]| {
+        let mut m = w.instantiate();
+        for (&port, &v) in w.input_ports.iter().zip(inputs) {
+            m.set_input(port, v);
+        }
+        m
+    };
+    let mut m = warm(&pid, &[1000, 900]);
+    b.bench_throughput("pid_warm_run", retired_instructions(m.clone()), || {
+        m.reset(0, workloads::STACK_TOP);
+        black_box(m.run(100_000))
+    });
+    // ≈900 instructions, so the per-run overhead amortises away.
+    let sum = workloads::sum_series();
+    let mut m = warm(&sum, &[300]);
+    b.bench_throughput(
+        "sum_series_warm_run",
+        retired_instructions(m.clone()),
+        || {
+            m.reset(0, workloads::STACK_TOP);
+            black_box(m.run(100_000))
+        },
+    );
     b.finish();
 }
 

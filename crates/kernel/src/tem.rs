@@ -24,6 +24,13 @@
 //! spares clean jobs from computing it.
 //! State is committed only when two matching results exist (§2.5: "state
 //! data are only updated when two matching results have been produced").
+//!
+//! A node that triples every job (`min_results = 3`) votes without a
+//! pairwise compare first. Its vote follows the same 2-of-3 rule, commits
+//! the winning result's state region (rewriting it when the outvoted copy
+//! ran last), and reports any dissent among the three results as a
+//! [`Edm::TemComparison`] detection, so a masked error is still visible to
+//! the supervisor.
 
 use std::cell::OnceCell;
 use std::fmt;
@@ -193,7 +200,8 @@ pub enum JobFault {
 /// and the control-flow path signature. Including the signature closes
 /// the §2.7 gap: a control-flow error that skips or repeats code yet
 /// happens to leave outputs and state intact still diverges from the clean
-/// copy here.
+/// copy here. A job holds at most three, in inline slots on its stack, so
+/// gathering results never allocates.
 #[derive(Debug, Clone)]
 struct ResultVector {
     outputs: [Option<u32>; NUM_PORTS],
@@ -205,6 +213,16 @@ struct ResultVector {
 }
 
 impl ResultVector {
+    /// An unused result slot.
+    fn empty() -> Self {
+        ResultVector {
+            outputs: [None; NUM_PORTS],
+            path_sig: 0,
+            state: [0; STATE_WORDS],
+            fold: OnceCell::new(),
+        }
+    }
+
     fn state_fold(&self) -> u64 {
         *self.fold.get_or_init(|| fold_words(&self.state))
     }
@@ -285,7 +303,11 @@ impl TemExecutor {
         let mut cycles_used: u64 = 0;
         let mut copies: Vec<CopyTrace> = Vec::new();
         let mut detections: Vec<Edm> = Vec::new();
-        let mut results: Vec<ResultVector> = Vec::with_capacity(3);
+        // The results gathered so far fill `results[..n_results]`: three
+        // inline slots, as the vote reads at most three. A slot is set up
+        // only when a copy halts, so a clean job touches two.
+        let mut results: [Option<ResultVector>; 3] = [None, None, None];
+        let mut n_results = 0;
         // Snapshot the state region so every copy starts from identical
         // state, and so an omission can roll back (§2.6).
         let state_snapshot = snapshot_state(machine);
@@ -306,13 +328,14 @@ impl TemExecutor {
         };
 
         let mut results_wanted: u32 = cfg.min_results.clamp(2, cfg.max_results);
+        let voting_from_start = results_wanted == 3;
         loop {
             // Deadline check before starting any copy (§2.5): a fresh copy
             // needs its full budget plus the pending comparison.
             let next_cost = cfg.copy_budget + cfg.compare_cycles;
             let out_of_time = cycles_used + next_cost > cfg.deadline_cycles;
             let out_of_copies = copies.len() as u32 >= cfg.max_executions;
-            if (results.len() as u32) < results_wanted && (out_of_time || out_of_copies) {
+            if (n_results as u32) < results_wanted && (out_of_time || out_of_copies) {
                 restore_state(machine, &state_snapshot);
                 let last = detections
                     .last()
@@ -327,7 +350,7 @@ impl TemExecutor {
                 };
             }
 
-            if (results.len() as u32) < results_wanted {
+            if (n_results as u32) < results_wanted {
                 // Execute one more copy.
                 let index = copies.len() as u32;
                 restore_state(machine, &state_snapshot);
@@ -356,10 +379,10 @@ impl TemExecutor {
                     RunExit::Halted => {
                         // Read the state region through ECC; a trap while
                         // reading state counts as a detection of this copy.
-                        let mut state = [0; STATE_WORDS];
+                        let slot = results[n_results].insert(ResultVector::empty());
                         match machine
                             .mem
-                            .load_words(DATA_BASE, &mut state)
+                            .load_words(DATA_BASE, &mut slot.state)
                             .map_err(Exception::from)
                         {
                             Ok(()) => {
@@ -368,12 +391,9 @@ impl TemExecutor {
                                     result: CopyResult::Completed,
                                     cycles: exit.cycles_used,
                                 });
-                                results.push(ResultVector {
-                                    outputs: *machine.outputs(),
-                                    path_sig: machine.cpu.path_sig,
-                                    state,
-                                    fold: OnceCell::new(),
-                                });
+                                slot.outputs = *machine.outputs();
+                                slot.path_sig = machine.cpu.path_sig;
+                                n_results += 1;
                             }
                             Err(e) => {
                                 let edm = Edm::from_exception(&e);
@@ -413,11 +433,12 @@ impl TemExecutor {
             }
 
             // Enough results: compare or vote.
-            if results.len() == 2 {
+            let result = |i: usize| results[i].as_ref().expect("result gathered");
+            if n_results == 2 {
                 cycles_used += cfg.compare_cycles;
-                if results[0] == results[1] {
+                if result(0) == result(1) {
                     let masked = detections.first().copied();
-                    return deliver(masked, results[1].outputs, copies, cycles_used, detections);
+                    return deliver(masked, result(1).outputs, copies, cycles_used, detections);
                 }
                 // Scenario ii: mismatch → need a third result for the vote.
                 detections.push(Edm::TemComparison);
@@ -438,25 +459,34 @@ impl TemExecutor {
             }
 
             // Three results: 2-of-3 majority vote.
-            debug_assert_eq!(results.len(), 3);
+            debug_assert_eq!(n_results, 3);
             cycles_used += cfg.vote_cycles;
             // The third result was executed last, so if it belongs to the
             // majority the machine state is already the winner's.
-            let winner = if results[2] == results[0] || results[2] == results[1] {
+            let winner = if result(2) == result(0) || result(2) == result(1) {
                 Some(2)
-            } else if results[0] == results[1] {
-                // Cannot happen via the mismatch path, but a replacement
-                // sequence can produce it; state must be re-materialised by
-                // re-running the winning copy — model as accepting result 1
-                // whose state matches result 0's.
+            } else if result(0) == result(1) {
+                // Cannot happen via the mismatch path (results 0 and 1
+                // differ there); a tripling node reaches it when result 2
+                // is outvoted.
                 Some(1)
             } else {
                 None
             };
+            if voting_from_start && !(winner == Some(2) && result(0) == result(1)) {
+                // The three results are not unanimous, and no pairwise
+                // compare has reported it yet.
+                detections.push(Edm::TemComparison);
+            }
             return match winner {
                 Some(w) => {
+                    if w != 2 {
+                        // Commit the winner's state, not the outvoted
+                        // copy's that the machine still holds.
+                        restore_state(machine, &result(w).state);
+                    }
                     let first = detections.first().copied();
-                    deliver(first, results[w].outputs, copies, cycles_used, detections)
+                    deliver(first, result(w).outputs, copies, cycles_used, detections)
                 }
                 None => {
                     detections.push(Edm::TemVote);
@@ -878,32 +908,118 @@ mod tests {
         );
     }
 
+    /// An executor that triples every job, as on a suspect node.
+    fn tripling_executor(w: &Workload, inputs: &[u32]) -> TemExecutor {
+        let (_, cycles) = w.golden_run(inputs);
+        let mut cfg = TemConfig::with_budget(cycles * 2);
+        cfg.min_results = 3;
+        TemExecutor::new(cfg)
+    }
+
     #[test]
     fn min_results_three_always_triples() {
         // A suspect node runs three copies and votes even when the first
         // two match — the defensive mode the escalation ladder switches on.
         let w = workloads::pid_controller();
-        let (_, cycles) = w.golden_run(&[1000, 900]);
-        let mut cfg = TemConfig::with_budget(cycles * 2);
-        cfg.min_results = 3;
-        let exec = TemExecutor::new(cfg);
+        let inputs = [1000, 900];
+        let golden = w.golden_run(&inputs).0;
+        let exec = tripling_executor(&w, &inputs);
         let mut m = w.instantiate();
-        let report = exec.run_job(&mut m, &w, &[1000, 900], None);
+        let report = exec.run_job(&mut m, &w, &inputs, None);
         assert_eq!(report.outcome, JobOutcome::DeliveredClean);
         assert_eq!(report.executions(), 3, "triplicated even fault-free");
-        // And a single silent corruption is outvoted without a TemComparison
-        // escalation round.
+        // A single silent corruption (the error term `e`, so the output
+        // and the stored state both change) is outvoted without a
+        // comparison round, yet reported as a comparison detection.
         let mut m = w.instantiate();
         let plan = InjectionPlan {
             copy: 1,
-            at_cycle: 8,
+            at_cycle: 3,
             fault: TransientFault {
-                target: FaultTarget::Register(Reg::R1),
+                target: FaultTarget::Register(Reg::R2),
                 mask: 1 << 2,
             },
         };
-        let report = exec.run_job(&mut m, &w, &[1000, 900], Some(plan));
-        assert!(report.outcome.delivered());
+        let report = exec.run_job(&mut m, &w, &inputs, Some(plan));
+        assert_eq!(
+            report.outcome,
+            JobOutcome::DeliveredMasked {
+                detected_by: Edm::TemComparison
+            }
+        );
+        assert_eq!(report.detections, vec![Edm::TemComparison]);
+        assert_eq!(report.executions(), 3, "no fourth copy");
+        assert_eq!(report.outputs, Some(golden));
+    }
+
+    #[test]
+    fn triple_vote_commits_the_majority_state_and_reports_dissent() {
+        // Sweep a silent corruption of the error term through every cycle
+        // of the *last* copy. Whenever it changes that copy's result, the
+        // vote must deliver the two clean copies' result, leave their state
+        // behind (not the outvoted copy's, which the machine ran last) and
+        // report the dissent; otherwise the job is a clean triple.
+        let w = workloads::pid_controller();
+        let inputs = [1000, 900];
+        let exec = tripling_executor(&w, &inputs);
+        let budget = exec.config().copy_budget;
+        let single_copy = |fault: Option<(u64, TransientFault)>| {
+            let mut m = w.instantiate();
+            m.reset(0, STACK_TOP);
+            for (&port, &v) in w.input_ports.iter().zip(&inputs) {
+                m.set_input(port, v);
+            }
+            let exit = match fault {
+                Some((at, f)) => nlft_machine::fault::run_with_injection(&mut m, budget, at, f).0,
+                None => m.run(budget),
+            };
+            (exit.exit, *m.outputs(), m.cpu.path_sig, snapshot_state(&m))
+        };
+        let clean = single_copy(None);
+        let mut clean_job = w.instantiate();
+        let report = exec.run_job(&mut clean_job, &w, &inputs, None);
+        assert_eq!(report.outcome, JobOutcome::DeliveredClean);
+        let clean_state = snapshot_state(&clean_job);
+        let (_, cycles) = w.golden_run(&inputs);
+
+        let mut dissents = 0;
+        for at_cycle in 0..cycles {
+            for bit in [0, 3, 7, 12] {
+                let fault = TransientFault {
+                    target: FaultTarget::Register(Reg::R2),
+                    mask: 1 << bit,
+                };
+                let plan = InjectionPlan {
+                    copy: 2,
+                    at_cycle,
+                    fault,
+                };
+                let mut m = w.instantiate();
+                let report = exec.run_job(&mut m, &w, &inputs, Some(plan));
+                let ctx = format!("R2 bit {bit} at cycle {at_cycle}: {report:?}");
+                assert!(report.outcome.delivered(), "{ctx}");
+                assert_eq!(report.outputs, Some(clean.1), "{ctx}");
+                assert_eq!(snapshot_state(&m), clean_state, "{ctx}");
+                let faulty = single_copy(Some((at_cycle, fault)));
+                let expected = match faulty.0 {
+                    RunExit::Halted if faulty == clean => JobOutcome::DeliveredClean,
+                    RunExit::Halted => {
+                        dissents += 1;
+                        JobOutcome::DeliveredMasked {
+                            detected_by: Edm::TemComparison,
+                        }
+                    }
+                    RunExit::Exception(e) => JobOutcome::DeliveredMasked {
+                        detected_by: Edm::from_exception(&e),
+                    },
+                    RunExit::BudgetExhausted => JobOutcome::DeliveredMasked {
+                        detected_by: Edm::ExecutionTimeMonitor,
+                    },
+                };
+                assert_eq!(report.outcome, expected, "{ctx}");
+            }
+        }
+        assert!(dissents > 0, "the sweep must outvote some copy");
     }
 
     #[test]

@@ -13,6 +13,9 @@ use std::fmt;
 
 use crate::isa::{Reg, NUM_REGS};
 
+// `CpuState::reg` masks register indices with `NUM_REGS - 1`.
+const _: () = assert!(NUM_REGS.is_power_of_two());
+
 /// Condition flags of the status register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatusFlags {
@@ -85,13 +88,17 @@ impl CpuState {
     }
 
     /// Reads a general-purpose register.
+    #[inline(always)]
     pub fn reg(&self, r: Reg) -> u32 {
-        self.regs[r.index()]
+        // A `Reg` is always below `NUM_REGS` (a power of two); the mask
+        // only lets the compiler drop the bounds check.
+        self.regs[r.index() & (NUM_REGS - 1)]
     }
 
     /// Writes a general-purpose register.
+    #[inline(always)]
     pub fn set_reg(&mut self, r: Reg, value: u32) {
-        self.regs[r.index()] = value;
+        self.regs[r.index() & (NUM_REGS - 1)] = value;
     }
 
     /// All general-purpose registers, for context save and fault injection.

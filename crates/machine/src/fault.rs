@@ -598,7 +598,9 @@ pub fn run_with_injection(
         RunExit::BudgetExhausted if pre.cycles_used >= inject_at_cycle => {
             // Reached the injection point with the program still running.
             fault.apply(m);
-            let remaining = cycle_budget - pre.cycles_used;
+            // A multi-cycle instruction may overshoot the injection point
+            // past the whole budget; nothing then remains.
+            let remaining = cycle_budget.saturating_sub(pre.cycles_used);
             let post = m.run(remaining);
             (
                 RunOutcome {
@@ -689,6 +691,32 @@ mod tests {
         let (out, injected) = run_with_injection(&mut m, 100_000, 20, fault);
         assert!(injected);
         assert!(matches!(out.exit, RunExit::Exception(Exception::Memory(_))));
+    }
+
+    #[test]
+    fn overshooting_the_whole_budget_exhausts_it() {
+        // The 8-cycle DIV retires at cycle 10: past the injection point
+        // (3) and past the whole budget (5). The fault still lands, and
+        // the execution-time monitor stops the endless loop at once.
+        let image = assemble(
+            "    ldi r0, 1
+                 ldi r1, 1
+                 div r2, r0, r1
+             loop:
+                 jmp loop",
+        )
+        .unwrap();
+        let mut m = Machine::new(4096, MemoryMap::permissive());
+        m.load_program(0, &image.words).unwrap();
+        m.reset(0, 4096);
+        let fault = TransientFault {
+            target: FaultTarget::Register(Reg::R3),
+            mask: 1,
+        };
+        let (out, injected) = run_with_injection(&mut m, 5, 3, fault);
+        assert!(injected);
+        assert_eq!(out.exit, RunExit::BudgetExhausted);
+        assert_eq!(out.cycles_used, 10);
     }
 
     #[test]

@@ -144,44 +144,44 @@ pub struct Machine {
     /// Decoded-instruction cache, indexed by word address (`pc / 4`).
     /// Grown lazily to the highest fetched PC, so a freshly instantiated
     /// machine (one per campaign trial) pays for its code footprint, not
-    /// its memory size.
+    /// its memory size. Every live entry was filled under the active map
+    /// and under memory generation `cache_generation`.
     decode_cache: Vec<DecodeEntry>,
-    /// Bumped whenever the active memory map changes; entries from older
-    /// epochs are stale because their Execute-permission check may no
-    /// longer hold.
-    cache_epoch: u64,
+    /// [`EccMemory::generation`] the live entries were filled under; a
+    /// fetch that sees another generation empties the cache first.
+    cache_generation: u64,
     decode_cache_enabled: bool,
 }
 
 /// One slot of the decoded-instruction cache.
 ///
-/// A hit requires all three tags to match: the machine's `cache_epoch`
-/// (the MMU Execute check was performed under the *current* map), the
-/// memory's mutation [`EccMemory::generation`] (no image load, reset,
-/// injection or scrub since the fill), and the fetched `word` itself
-/// (catches ordinary stores into the instruction stream, which bump
-/// neither counter). The word tag alone already makes the cache
-/// semantically transparent; the generation tag is belt-and-braces that
-/// also keeps hits off the faulty-word load path entirely.
+/// Validity is a property of the whole cache, not of the entry: the cache
+/// is emptied whenever the memory map or the memory generation changes,
+/// so a live entry's MMU Execute check still holds. A hit additionally
+/// requires the freshly loaded word to equal `word`, which catches ordinary
+/// stores into the instruction stream (they bump no generation).
 #[derive(Debug, Clone, Copy)]
 struct DecodeEntry {
-    /// `cache_epoch` at fill time; 0 marks an empty slot.
-    epoch: u64,
-    /// Memory mutation generation at fill time.
-    generation: u64,
     /// The instruction word this entry decoded.
     word: u32,
     /// Its decoding.
     instr: Instr,
+    /// Its cycle cost, [`Instr::cycles`]; 0 marks an unfilled slot, since
+    /// every instruction costs at least one cycle.
+    cycles: u8,
 }
 
 impl DecodeEntry {
     const EMPTY: DecodeEntry = DecodeEntry {
-        epoch: 0,
-        generation: 0,
         word: 0,
         instr: Instr::Nop,
+        cycles: 0,
     };
+
+    #[inline(always)]
+    fn is_filled(&self) -> bool {
+        self.cycles != 0
+    }
 }
 
 /// One retired (or faulting) instruction in the execution trace.
@@ -209,7 +209,7 @@ impl Machine {
             trace: None,
             trace_capacity: 0,
             decode_cache: Vec::new(),
-            cache_epoch: 1,
+            cache_generation: 0,
             decode_cache_enabled: true,
         }
     }
@@ -261,11 +261,7 @@ impl Machine {
     pub fn set_memory_map(&mut self, map: MemoryMap) {
         self.map = map;
         // Cached entries embedded an Execute check against the old map.
-        self.cache_epoch = self.cache_epoch.wrapping_add(1);
-        if self.cache_epoch == 0 {
-            // 0 marks empty slots; skip it on wrap-around.
-            self.cache_epoch = 1;
-        }
+        self.decode_cache.clear();
     }
 
     /// Enables or disables the decoded-instruction cache (on by default).
@@ -340,30 +336,43 @@ impl Machine {
         self.halted = false;
     }
 
+    #[inline(always)]
     fn load_checked(&mut self, addr: u32, access: Access) -> Result<u32, Exception> {
         self.map.check(addr, access)?;
         Ok(self.mem.load(addr)?)
     }
 
+    /// Empties the decode cache when the memory generation moved since its
+    /// entries were filled.
+    #[inline(always)]
+    fn revalidate_cache(&mut self) {
+        let generation = self.mem.generation();
+        if self.cache_generation != generation {
+            self.decode_cache.clear();
+            self.cache_generation = generation;
+        }
+    }
+
     /// Fetches and decodes the instruction at `pc`, consulting the decode
-    /// cache.
+    /// cache; returns the instruction and its cycle cost.
     ///
     /// The memory load is *never* skipped: ECC semantics (correction
     /// counters, scrubbing, uncorrectable exceptions, silent escapes) must
     /// fire exactly as they would uncached. What a hit skips is the MMU
-    /// region scan (validated under the current `cache_epoch` at fill
-    /// time; the check is a pure function of map, address and access, so
-    /// an unchanged epoch implies an unchanged outcome) and the decoder.
-    #[inline]
-    fn fetch_decode(&mut self, pc: u32) -> Result<Instr, Exception> {
+    /// region scan (performed under the active map when the entry was
+    /// filled; the check is a pure function of map, address and access,
+    /// and a map switch empties the cache) and the decoder.
+    #[inline(always)]
+    fn fetch_decode(&mut self, pc: u32) -> Result<(Instr, u64), Exception> {
         if self.decode_cache_enabled && pc.is_multiple_of(WORD_BYTES) {
-            let idx = (pc / WORD_BYTES) as usize;
-            if idx < self.decode_cache.len() {
-                let e = self.decode_cache[idx];
-                if e.epoch == self.cache_epoch && e.generation == self.mem.generation() {
+            self.revalidate_cache();
+            if let Some(&e) = self.decode_cache.get((pc / WORD_BYTES) as usize) {
+                // An unfilled slot must not load: the slow path loads once,
+                // after the MMU check, exactly as an uncached fetch does.
+                if e.is_filled() {
                     let word = self.mem.load(pc)?;
                     if word == e.word {
-                        return Ok(e.instr);
+                        return Ok((e.instr, u64::from(e.cycles)));
                     }
                 }
             }
@@ -371,28 +380,32 @@ impl Machine {
         self.fetch_decode_slow(pc)
     }
 
-    fn fetch_decode_slow(&mut self, pc: u32) -> Result<Instr, Exception> {
+    #[cold]
+    #[inline(never)]
+    fn fetch_decode_slow(&mut self, pc: u32) -> Result<(Instr, u64), Exception> {
         let word = self.load_checked(pc, Access::Execute)?;
         let instr =
             Instr::decode(word).map_err(|e| Exception::IllegalOpcode { pc, word: e.word })?;
+        let cycles = instr.cycles();
         if self.decode_cache_enabled && pc.is_multiple_of(WORD_BYTES) {
+            // The load may have scrubbed a corrected word.
+            self.revalidate_cache();
             let idx = (pc / WORD_BYTES) as usize;
-            if idx < (self.mem.size_bytes() / WORD_BYTES) as usize {
-                if idx >= self.decode_cache.len() {
-                    // Amortised growth: `resize` reserves geometrically.
-                    self.decode_cache.resize(idx + 1, DecodeEntry::EMPTY);
-                }
-                self.decode_cache[idx] = DecodeEntry {
-                    epoch: self.cache_epoch,
-                    generation: self.mem.generation(),
-                    word,
-                    instr,
-                };
+            if idx >= self.decode_cache.len() {
+                // Amortised growth: `resize` reserves geometrically. The
+                // load succeeded, so `idx` is inside memory.
+                self.decode_cache.resize(idx + 1, DecodeEntry::EMPTY);
             }
+            self.decode_cache[idx] = DecodeEntry {
+                word,
+                instr,
+                cycles: cycles as u8,
+            };
         }
-        Ok(instr)
+        Ok((instr, cycles))
     }
 
+    #[inline(always)]
     fn store_checked(&mut self, addr: u32, value: u32) -> Result<(), Exception> {
         self.map.check(addr, Access::Write)?;
         self.mem.store(addr, value)?;
@@ -406,13 +419,14 @@ impl Machine {
     /// Returns the [`Exception`] raised by any hardware EDM. The CPU state
     /// is left as-is at the fault point so a diagnostic handler (the kernel)
     /// can inspect it.
+    #[inline]
     pub fn step(&mut self) -> Result<Step, Exception> {
         if self.halted {
             return Ok(Step::Halted);
         }
         let pc = self.cpu.pc;
-        let instr = self.fetch_decode(pc)?;
-        self.cpu.cycles += instr.cycles();
+        let (instr, cycles) = self.fetch_decode(pc)?;
+        self.cpu.cycles += cycles;
         if let Some(trace) = &mut self.trace {
             if trace.len() == self.trace_capacity {
                 trace.pop_front();
@@ -911,6 +925,79 @@ mod tests {
             "expected MMU violation after Execute revoked, got {:?}",
             out.exit
         );
+    }
+
+    #[test]
+    fn decode_cache_unfilled_slot_loads_once() {
+        // ECC off: a word flipped below the PC in mid-run is fetched again
+        // when the loop comes back to it. The flip empties the cache, and
+        // the next fill leaves the slots below it unfilled; fetching from
+        // one must load the faulty word once, as an uncached fetch does,
+        // so the escape is counted once per fetch.
+        let src = "    ldi r0, 0
+                       ldi r1, 3
+                       ldi r2, 1
+                   loop:
+                       addi r0, r0, 1
+                       nop
+                       nop
+                       nop
+                       nop
+                       sub r1, r1, r2
+                       jnz loop
+                       out r0, port0
+                       halt";
+        let image = assemble(src).unwrap();
+        let run = |cached: bool| {
+            let mut m = Machine::new_without_ecc(4096, MemoryMap::permissive());
+            m.set_decode_cache_enabled(cached);
+            m.load_program(0, &image.words).unwrap();
+            m.reset(0, 4096);
+            while m.cpu.pc != 8 * WORD_BYTES {
+                assert_eq!(m.step().unwrap(), Step::Running);
+            }
+            // `addi r0, r0, 1` becomes `addi r0, r0, 3`.
+            assert!(m.mem.inject_flip(3 * WORD_BYTES, 0b10));
+            let out = m.run(1_000);
+            (out, m.output(0), m.cpu.clone(), m.mem.ecc_stats())
+        };
+        let cached = run(true);
+        assert_eq!(cached.0.exit, RunExit::Halted);
+        assert_eq!(cached.1, Some(1 + 3 + 3));
+        assert_eq!(cached.3.escaped, 2, "one escape per fetch of the word");
+        assert_eq!(cached, run(false));
+    }
+
+    #[test]
+    fn decode_cache_unfilled_slot_checks_mmu_before_load() {
+        // Word 0 sits outside every executable region and carries a
+        // double-bit flip. The fill at 0x40 leaves slot 0 unfilled; jumping
+        // there must raise the MMU violation, as uncached, not load the
+        // word first and raise an uncorrectable ECC error.
+        let image = assemble("jmp 0").unwrap();
+        let run = |cached: bool| {
+            let mut m = Machine::new(
+                4096,
+                MemoryMap::from_regions(vec![
+                    Region::new(0x0000, 0x40, Perms::RW),
+                    Region::new(0x40, 0x1000 - 0x40, Perms::RX),
+                ]),
+            );
+            m.set_decode_cache_enabled(cached);
+            m.load_program(0x40, &image.words).unwrap();
+            assert!(m.mem.inject_flip(0, 0b11));
+            m.reset(0x40, 4096);
+            let out = m.run(100);
+            (out, m.cpu.clone(), m.mem.ecc_stats())
+        };
+        let cached = run(true);
+        assert!(
+            matches!(cached.0.exit, RunExit::Exception(Exception::Mmu(_))),
+            "expected MMU violation, got {:?}",
+            cached.0.exit
+        );
+        assert_eq!(cached.2.detected_uncorrectable, 0);
+        assert_eq!(cached, run(false));
     }
 
     #[test]

@@ -166,6 +166,7 @@ impl EccMemory {
     /// what a fetch would observe. Ordinary stores are *not* counted —
     /// consumers that cache decoded instructions also tag entries with the
     /// fetched word, which covers self-modifying stores exactly.
+    #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -223,6 +224,7 @@ impl EccMemory {
         (start..start + n, err)
     }
 
+    #[inline(always)]
     fn word_index(&self, addr: u32) -> Result<usize, MemError> {
         if !addr.is_multiple_of(WORD_BYTES) {
             return Err(MemError::Misaligned { addr });
@@ -241,6 +243,7 @@ impl EccMemory {
     /// [`MemError::Misaligned`] for unaligned addresses, [`MemError::Bus`]
     /// for unmapped addresses, and [`MemError::EccUncorrectable`] when the
     /// word carries a multi-bit fault and ECC is enabled.
+    #[inline]
     pub fn load(&mut self, addr: u32) -> Result<u32, MemError> {
         let idx = self.word_index(addr)?;
         // Dirty-word fast path: fault-free words never touch the hash map.
@@ -251,6 +254,7 @@ impl EccMemory {
     }
 
     /// Slow path for a load whose word carries an injected fault.
+    #[cold]
     fn load_faulty(&mut self, addr: u32, idx: usize) -> Result<u32, MemError> {
         let mask = self.flips.get(&(idx as u32)).copied().unwrap_or(0);
         if mask == 0 {
@@ -280,6 +284,7 @@ impl EccMemory {
     /// # Errors
     ///
     /// [`MemError::Misaligned`] or [`MemError::Bus`] as for [`EccMemory::load`].
+    #[inline]
     pub fn store(&mut self, addr: u32, value: u32) -> Result<(), MemError> {
         let idx = self.word_index(addr)?;
         self.words[idx] = value;

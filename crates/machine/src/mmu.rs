@@ -195,6 +195,7 @@ impl MemoryMap {
     ///
     /// Returns [`MmuViolation`] when no region both covers `addr` and allows
     /// `access`.
+    #[inline]
     pub fn check(&self, addr: u32, access: Access) -> Result<(), MmuViolation> {
         for r in &self.regions {
             if r.contains(addr) && r.perms.allows(access) {

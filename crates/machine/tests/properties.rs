@@ -1,11 +1,11 @@
 //! Property-based tests for the TM32 machine.
 
 use nlft_machine::asm::{assemble, disassemble};
-use nlft_machine::fault::{run_with_injection, FaultSpace};
+use nlft_machine::fault::{run_with_injection, FaultSpace, FaultTarget, TransientFault};
 use nlft_machine::isa::{Instr, Reg};
 use nlft_machine::machine::{Machine, RunExit};
 use nlft_machine::mem::{EccMemory, EccStats, MemError, WORD_BYTES};
-use nlft_machine::mmu::MemoryMap;
+use nlft_machine::mmu::{MemoryMap, Perms, Region};
 use nlft_machine::workloads;
 use nlft_sim::rng::RngStream;
 use nlft_testkit::prop::{gens, Suite};
@@ -325,6 +325,203 @@ fn decode_cache_is_bit_invisible_across_reuse_and_reload() {
             let uncached = run(false);
             prop_assert_eq!(&cached.0, &uncached.0, "first phase differs");
             prop_assert_eq!(&cached.1, &uncached.1, "second phase differs");
+            Ok(())
+        },
+    );
+}
+
+/// A program of `2..40` words, mostly valid instructions whose branch,
+/// call and some store targets stay inside the code, so runs loop, reuse
+/// cached decodes and rewrite their own instruction stream.
+fn arb_cached_program(r: &mut TkRng) -> Vec<u32> {
+    let len = r.usize_range(2, 40);
+    let code_addr = |r: &mut TkRng| r.range(0, len as u64) as u16 * 4;
+    (0..len)
+        .map(|_| match r.usize_range(0, 10) {
+            0 => r.next_u32(),
+            1 => Instr::Jmp(code_addr(r)).encode(),
+            2 => Instr::Jnz(code_addr(r)).encode(),
+            3 => Instr::Call(code_addr(r)).encode(),
+            4 => Instr::St(arb_reg(r), Reg::R0, code_addr(r) as i16).encode(),
+            _ => match arb_instr(r) {
+                Instr::Jmp(_) | Instr::Jz(_) | Instr::Call(_) => Instr::Jz(code_addr(r)),
+                other => other,
+            }
+            .encode(),
+        })
+        .collect()
+}
+
+/// Memory maps over a 4 KiB machine whose code sits in the first 160
+/// bytes: they grant Execute on all, part or none of the code.
+fn cache_test_map(i: usize) -> MemoryMap {
+    match i {
+        0 => MemoryMap::permissive(),
+        1 => MemoryMap::from_regions(vec![
+            Region::new(0, 0x100, Perms::RX),
+            Region::new(0x100, 0xF00, Perms::RW),
+        ]),
+        2 => MemoryMap::from_regions(vec![Region::new(0, 0x1000, Perms::RW)]),
+        _ => MemoryMap::from_regions(vec![
+            Region::new(0, 0x40, Perms::RX),
+            Region::new(0x40, 0xFC0, Perms::RW),
+        ]),
+    }
+}
+
+/// One event between two runs of the same machine.
+#[derive(Debug, Clone)]
+enum CacheEvent {
+    SetMap(usize),
+    /// Toggles the decode cache of the cached machine only.
+    ToggleCache,
+    Store {
+        word: u32,
+        value: u32,
+    },
+    Flip {
+        word: u32,
+        mask: u32,
+    },
+    ClearFaults,
+    LoadImage(Vec<u32>),
+    Nothing,
+}
+
+/// One step of the invalidation property: an event, an optional reset,
+/// then a run of `budget` cycles, optionally with a memory flip injected
+/// part-way through (after the given number of cycles).
+#[derive(Debug, Clone)]
+struct CacheStep {
+    event: CacheEvent,
+    reset: bool,
+    budget: u64,
+    mid_run_flip: Option<(u64, TransientFault)>,
+}
+
+/// A flip mask: one bit, two random bits, or two neighbouring bits.
+fn arb_flip_mask(r: &mut TkRng) -> u32 {
+    let bit = 1u32 << r.range(0, 32);
+    match r.usize_range(0, 3) {
+        0 => bit,
+        1 => bit | bit.rotate_left(1 + r.range(0, 31) as u32),
+        _ => bit ^ 1,
+    }
+}
+
+fn arb_cache_event(r: &mut TkRng) -> CacheEvent {
+    let word = r.range(0, 40) as u32;
+    match r.usize_range(0, 8) {
+        0 => CacheEvent::SetMap(r.usize_range(0, 4)),
+        1 => CacheEvent::ToggleCache,
+        2 => CacheEvent::Store {
+            word,
+            value: if r.bool() {
+                arb_instr(r).encode()
+            } else {
+                r.next_u32()
+            },
+        },
+        3 => CacheEvent::Flip {
+            word,
+            mask: arb_flip_mask(r),
+        },
+        4 => CacheEvent::ClearFaults,
+        5 => CacheEvent::LoadImage(arb_cached_program(r)),
+        _ => CacheEvent::Nothing,
+    }
+}
+
+/// Every decode-cache invalidation channel is bit-invisible. One cached
+/// and one uncached machine run the same program many times; between runs
+/// both see the same random event: a map switch that grants or revokes
+/// Execute on the code, a direct store or a bit flip into a code word
+/// (ECC on and off), a fault clear, or a fresh image; the cached machine
+/// may also toggle its cache. Some runs also take a flip into a code word
+/// part-way through, so a loop comes back to a word that was flipped after
+/// the cache last filled. After every run, exits, cycles, outputs, CPU
+/// state, traces and ECC statistics must be identical.
+#[test]
+fn decode_cache_is_bit_invisible_across_invalidation_events() {
+    SUITE.check(
+        "decode_cache_is_bit_invisible_across_invalidation_events",
+        |r: &mut TkRng| {
+            let program = arb_cached_program(r);
+            let len = program.len() as u64;
+            let steps: Vec<CacheStep> = (0..r.usize_range(1, 16))
+                .map(|_| {
+                    let budget = r.range(1, 400);
+                    let mid_run_flip = r.bool().then(|| {
+                        let fault = TransientFault {
+                            target: FaultTarget::MemoryWord(r.range(0, len) as u32 * WORD_BYTES),
+                            mask: arb_flip_mask(r),
+                        };
+                        (r.range(1, budget + 1), fault)
+                    });
+                    CacheStep {
+                        event: arb_cache_event(r),
+                        reset: r.range(0, 10) < 7,
+                        budget,
+                        mid_run_flip,
+                    }
+                })
+                .collect();
+            (r.bool(), r.usize_range(0, 4), program, steps)
+        },
+        |(ecc, map, program, steps)| {
+            let machine = |cached: bool| {
+                let mut m = if *ecc {
+                    Machine::new(4096, cache_test_map(*map))
+                } else {
+                    Machine::new_without_ecc(4096, cache_test_map(*map))
+                };
+                m.set_decode_cache_enabled(cached);
+                m.enable_trace(32);
+                m.load_program(0, program).unwrap();
+                m.reset(0, 4096);
+                m
+            };
+            let (mut cached, mut uncached) = (machine(true), machine(false));
+            let mut cache_on = true;
+            for (i, step) in steps.iter().enumerate() {
+                let CacheStep {
+                    event,
+                    reset,
+                    budget,
+                    mid_run_flip,
+                } = step;
+                for (m, is_cached) in [(&mut cached, true), (&mut uncached, false)] {
+                    match event {
+                        CacheEvent::SetMap(i) => m.set_memory_map(cache_test_map(*i)),
+                        CacheEvent::ToggleCache if is_cached => {
+                            cache_on = !cache_on;
+                            m.set_decode_cache_enabled(cache_on);
+                        }
+                        CacheEvent::Store { word, value } => {
+                            m.mem.store(word * WORD_BYTES, *value).unwrap();
+                        }
+                        CacheEvent::Flip { word, mask } => {
+                            m.mem.inject_flip(word * WORD_BYTES, *mask);
+                        }
+                        CacheEvent::ClearFaults => m.mem.clear_faults(),
+                        CacheEvent::LoadImage(words) => m.load_program(0, words).unwrap(),
+                        CacheEvent::ToggleCache | CacheEvent::Nothing => {}
+                    }
+                    if *reset {
+                        m.reset(0, 4096);
+                    }
+                }
+                let observe = |m: &mut Machine| {
+                    let out = match mid_run_flip {
+                        Some((at, fault)) => run_with_injection(m, *budget, *at, *fault).0,
+                        None => m.run(*budget),
+                    };
+                    let trace: Vec<_> = m.trace().copied().collect();
+                    (out, *m.outputs(), m.cpu.clone(), trace, m.mem.ecc_stats())
+                };
+                let (a, b) = (observe(&mut cached), observe(&mut uncached));
+                prop_assert_eq!(&a, &b, "run after step {i} ({event:?})");
+            }
             Ok(())
         },
     );
