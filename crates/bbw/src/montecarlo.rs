@@ -142,7 +142,7 @@ impl TrialCampaign for McCampaign {
         }
     }
 
-    fn run_trial(&self, trial: u64, _ctx: &TrialCtx<'_>, acc: &mut MonteCarloResult) {
+    fn run_trial(&self, trial: u64, _ctx: &TrialCtx, acc: &mut MonteCarloResult) {
         let mut rng = RngStream::new(self.config.seed).fork_indexed("replication", trial);
         match simulate_once(&self.config, &mut rng) {
             Some(t) => {

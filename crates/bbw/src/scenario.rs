@@ -696,12 +696,13 @@ pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> Result<ScenarioOutco
 /// [`CompileError`].
 #[derive(Default)]
 pub struct ScenarioEngineOptions<'a> {
-    /// Run the work-stealing executor even at one worker (the default
+    /// Run the threaded executor even at one worker (the default
     /// dispatches to the in-thread sequential reference below two
     /// workers). The outcome is bit-identical either way — this exists
     /// so differential gates can pit the two paths against each other.
     pub force_engine: bool,
-    /// Per-trial wall-clock budget enforced by the engine watchdog.
+    /// Per-trial wall-clock budget: a cluster trial that returns past
+    /// it is recorded as timed out and left out of the tallies.
     pub trial_budget: Option<Duration>,
     /// Resume from a checkpoint string previously handed to
     /// `on_checkpoint`.

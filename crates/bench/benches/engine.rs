@@ -1,10 +1,10 @@
 //! The campaign engine benchmarked in isolation: per-trial scheduling
-//! overhead on empty trials (sequential reference vs the work-stealing
-//! executor, thread spawn included), steal behaviour under skewed
+//! overhead on empty trials (sequential reference vs the threaded
+//! executor, thread spawn included), load balance under skewed
 //! per-trial costs, and the streaming block-merge fold that keeps
 //! memory O(workers); full mode re-runs the skewed campaign and writes
-//! its scheduling telemetry (steal rate, pending-block high-water
-//! mark) to `ENGINE.json` under `<target>/testkit/`.
+//! its scheduling telemetry (blocks, pending-block high-water mark) to
+//! `ENGINE.json` under `<target>/testkit/`.
 
 use std::hint::black_box;
 
@@ -33,12 +33,12 @@ fn spin(mut x: u64, rounds: u32) -> u64 {
 
 /// A campaign whose trial body is a single wrapping add: everything the
 /// benchmark measures is engine overhead (block partition, deque
-/// traffic, fold ordering), not trial work.
+/// claims, fold ordering), not trial work.
 #[allow(clippy::type_complexity)]
 fn empty_campaign() -> ClosureCampaign<
     u64,
     impl Fn() -> u64,
-    impl Fn(u64, &nlft_engine::TrialCtx<'_>, &mut u64),
+    impl Fn(u64, &nlft_engine::TrialCtx, &mut u64),
     impl Fn(&mut u64, u64),
 > {
     indexed_campaign(
@@ -51,16 +51,18 @@ fn empty_campaign() -> ClosureCampaign<
     )
 }
 
-/// A campaign with a 200:1 cost skew aligned against the round-robin
-/// deal: blocks are dealt to deques by `block_index % workers`, so with
-/// [`SKEW_BLOCK`]-sized blocks and four workers, every heavy block
-/// (`block_index % 4 == 0`) lands on worker 0's deque — the other three
-/// run dry and must steal from its back.
+/// A campaign with a 200:1 cost skew: with [`SKEW_BLOCK`]-sized blocks,
+/// every fourth block (`block_index % 4 == 0`) is heavy. Workers claim
+/// blocks in index order, so a worker stuck on a heavy block claims
+/// fewer blocks while the others keep claiming light ones — until the
+/// pending-fold cap makes them wait for the heavy block at the fold
+/// cursor. A static `block_index % workers` deal would hand every heavy
+/// block to one worker.
 #[allow(clippy::type_complexity)]
 fn skewed_campaign() -> ClosureCampaign<
     u64,
     impl Fn() -> u64,
-    impl Fn(u64, &nlft_engine::TrialCtx<'_>, &mut u64),
+    impl Fn(u64, &nlft_engine::TrialCtx, &mut u64),
     impl Fn(&mut u64, u64),
 > {
     indexed_campaign(
@@ -100,7 +102,6 @@ fn telemetry(report: &EngineReport) -> Json {
         ("trials", Json::UInt(report.trials)),
         ("completed", Json::UInt(report.completed)),
         ("blocks", Json::UInt(report.blocks)),
-        ("steals", Json::UInt(report.steals)),
         ("workers", Json::UInt(report.workers as u64)),
         (
             "max_pending_blocks",
@@ -134,7 +135,7 @@ fn main() {
     };
     b.bench_throughput("skewed_trials_4_workers", SKEWED_TRIALS, || {
         let run = run_campaign(black_box(skewed_campaign()), &skew_cfg);
-        black_box((run.acc, run.report.steals))
+        black_box(run.acc)
     });
     b.bench_with_setup("streaming_merge_256_blocks", block_partials, |partials| {
         let mut folded = Histogram::new(0.0, 100.0, 32);

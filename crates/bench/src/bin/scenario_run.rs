@@ -16,10 +16,11 @@
 //!   counters and digests, and check each acceptance clause; exits
 //!   non-zero if any clause fails. Engine flags (cluster family only;
 //!   any other matching scenario is refused and fails the run):
-//!   `--engine` forces the work-stealing executor even at one worker
-//!   (the digest must not change — CI uses this as a differential gate
-//!   against the sequential reference), `--trial-budget-ms` arms the
-//!   per-trial watchdog, `--checkpoint FILE` streams resumable
+//!   `--engine` forces the threaded executor even at one worker (the
+//!   digest must not change — CI uses this as a differential gate
+//!   against the sequential reference), `--trial-budget-ms` sets a
+//!   per-trial wall-clock budget (an overrunning trial is reported as
+//!   timed out), `--checkpoint FILE` streams resumable
 //!   checkpoints to a file every `--checkpoint-every` trials, and
 //!   `--resume FILE` continues a previously checkpointed run.
 //! * `verify` — the CI gate: every matching scenario runs at 1, 2 and

@@ -37,9 +37,9 @@ pub fn indexed_campaign<A, E, R, M>(
     merge: M,
 ) -> ClosureCampaign<A, E, R, M>
 where
-    A: Send + 'static,
+    A: Send,
     E: Fn() -> A,
-    R: Fn(u64, &TrialCtx<'_>, &mut A),
+    R: Fn(u64, &TrialCtx, &mut A),
     M: Fn(&mut A, A),
 {
     ClosureCampaign {
@@ -55,9 +55,9 @@ where
 
 impl<A, E, R, M> TrialCampaign for ClosureCampaign<A, E, R, M>
 where
-    A: Send + 'static,
+    A: Send,
     E: Fn() -> A,
-    R: Fn(u64, &TrialCtx<'_>, &mut A),
+    R: Fn(u64, &TrialCtx, &mut A),
     M: Fn(&mut A, A),
 {
     type Acc = A;
@@ -78,7 +78,7 @@ where
         (self.empty)()
     }
 
-    fn run_trial(&self, trial: u64, ctx: &TrialCtx<'_>, acc: &mut A) {
+    fn run_trial(&self, trial: u64, ctx: &TrialCtx, acc: &mut A) {
         (self.run)(trial, ctx, acc);
     }
 

@@ -6,66 +6,28 @@
 //! configuration and the trial index (the labelled-RngStream rule —
 //! every trial forks its randomness as `root.fork_indexed(label,
 //! trial)`), never on which worker runs it or when. Under that
-//! contract the executor is free to steal, reorder and even re-execute
-//! trials after a worker is lost without changing the campaign result.
+//! contract the executor is free to run blocks of trials on any worker
+//! in any order without changing the campaign result.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-
-/// Scheduling priority of a trial.
-///
-/// The executor drains tiers strictly in order — all runnable
-/// [`Tier::Smoke`] work is claimed before any [`Tier::Standard`] work,
-/// which is claimed before any [`Tier::LongHorizon`] work — so a batch
-/// of long-horizon reliability trials queued behind a smoke sweep can
-/// never starve it. Tier assignment has no effect on the campaign
-/// result, only on completion order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum Tier {
-    /// Short sanity trials that should finish first.
-    Smoke,
-    /// The default tier for ordinary campaign trials.
-    #[default]
-    Standard,
-    /// Long-horizon trials (e.g. year-long reliability replications)
-    /// that must not starve the other tiers.
-    LongHorizon,
-}
-
-impl Tier {
-    /// Number of scheduling tiers.
-    pub const COUNT: usize = 3;
-
-    /// Queue index of this tier (0 drains first).
-    pub fn index(self) -> usize {
-        match self {
-            Tier::Smoke => 0,
-            Tier::Standard => 1,
-            Tier::LongHorizon => 2,
-        }
-    }
-}
 
 /// Per-trial execution context handed to [`TrialCampaign::run_trial`].
 ///
-/// Long-running trials should poll [`TrialCtx::cancelled`] at natural
-/// checkpoints (e.g. once per simulated cycle batch) and return early
-/// when it fires: the trial watchdog can only *request* cancellation
-/// cooperatively. A trial that never polls and never returns is
-/// eventually handled by declaring its worker lost (see
-/// [`EngineConfig::lost_worker_grace`]).
+/// A trial with a wall-clock budget ([`EngineConfig::trial_budget`])
+/// should poll [`TrialCtx::cancelled`] at natural checkpoints (e.g.
+/// once per simulated cycle batch) and return early once it fires.
+/// Nothing interrupts a trial from outside: a trial that never polls
+/// runs to completion and is then recorded as timed out if it overran.
 #[derive(Debug)]
-pub struct TrialCtx<'a> {
-    cancel: &'a AtomicBool,
+pub struct TrialCtx {
     started: Instant,
     budget: Option<Duration>,
     trial: u64,
 }
 
-impl<'a> TrialCtx<'a> {
-    pub(crate) fn new(cancel: &'a AtomicBool, budget: Option<Duration>, trial: u64) -> Self {
+impl TrialCtx {
+    pub(crate) fn new(budget: Option<Duration>, trial: u64) -> Self {
         TrialCtx {
-            cancel,
             started: Instant::now(),
             budget,
             trial,
@@ -82,16 +44,11 @@ impl<'a> TrialCtx<'a> {
         self.started.elapsed()
     }
 
-    /// True once the watchdog has requested cancellation or the trial
-    /// has exceeded its own budget; the trial should return as soon as
-    /// practical. Whatever it accumulated is discarded either way.
+    /// True once the trial has exceeded its budget; the trial should
+    /// return as soon as practical. Whatever it accumulated is
+    /// discarded either way.
     pub fn cancelled(&self) -> bool {
-        self.cancel.load(Ordering::Relaxed)
-            || self.budget.is_some_and(|b| self.started.elapsed() > b)
-    }
-
-    pub(crate) fn started(&self) -> Instant {
-        self.started
+        self.budget.is_some_and(|b| self.started.elapsed() > b)
     }
 }
 
@@ -112,7 +69,7 @@ impl<'a> TrialCtx<'a> {
 ///   identical at any worker count.
 pub trait TrialCampaign {
     /// Streaming accumulator the campaign folds trial outcomes into.
-    type Acc: Send + 'static;
+    type Acc: Send;
 
     /// Total number of trials in the campaign.
     fn trials(&self) -> u64;
@@ -125,33 +82,16 @@ pub trait TrialCampaign {
     /// re-run in isolation.
     fn rng_label(&self) -> String;
 
-    /// Scheduling tier of one trial. Defaults to [`Tier::Standard`].
-    fn tier(&self, trial: u64) -> Tier {
-        let _ = trial;
-        Tier::Standard
-    }
-
     /// A fresh, empty accumulator.
     fn empty(&self) -> Self::Acc;
 
     /// Executes one trial, folding its outcome into `acc` (a fresh
     /// accumulator owned by the engine; it is merged into the campaign
     /// result only if the trial returns normally within budget).
-    fn run_trial(&self, trial: u64, ctx: &TrialCtx<'_>, acc: &mut Self::Acc);
+    fn run_trial(&self, trial: u64, ctx: &TrialCtx, acc: &mut Self::Acc);
 
     /// Merges a later accumulator into an earlier one.
     fn merge(&self, into: &mut Self::Acc, from: Self::Acc);
-}
-
-/// Deterministic mid-campaign worker-death injection, for testing the
-/// engine's own fault tolerance: worker `worker` abandons its queue and
-/// exits after it has executed `after_trials` trials.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosKill {
-    /// Index of the worker to kill (0-based).
-    pub worker: usize,
-    /// Number of trials the worker executes before dying.
-    pub after_trials: u64,
 }
 
 /// Executor configuration.
@@ -160,23 +100,20 @@ pub struct EngineConfig {
     /// Number of worker threads (clamped to at least 1).
     pub workers: usize,
     /// Trials per scheduling block; `None` picks
-    /// [`auto_block_size`](crate::auto_block_size). The block partition
-    /// is a function of the trial count alone — never of `workers` — so
-    /// the merged result is bit-identical at any worker count.
+    /// [`auto_block_size`](crate::auto_block_size) of the campaign's full
+    /// trial count, also when resuming. The block partition is a
+    /// function of the trial count alone — never of `workers` or of the
+    /// resume point — so the merged result is bit-identical at any
+    /// worker count and across a checkpoint/resume split.
     pub block_size: Option<u64>,
-    /// Per-trial wall-clock budget. A trial still running past it is
-    /// asked to cancel; when it finishes (or is abandoned with its
-    /// worker) it is recorded as timed out and excluded from the
-    /// accumulator stream. `None` disables the watchdog.
+    /// Per-trial wall-clock budget. A trial sees it through
+    /// [`TrialCtx::cancelled`]; one that returns past it is recorded as
+    /// timed out and excluded from the accumulator stream. `None`
+    /// means unbounded.
     pub trial_budget: Option<Duration>,
-    /// Extra grace past the budget before a non-cooperating trial's
-    /// worker is declared lost and its queue redistributed.
-    pub lost_worker_grace: Duration,
     /// Fire the checkpoint callback every this many folded trials
     /// (0 disables checkpointing).
     pub checkpoint_every: u64,
-    /// Optional deterministic worker-death injection.
-    pub chaos_kill: Option<ChaosKill>,
 }
 
 impl Default for EngineConfig {
@@ -185,9 +122,7 @@ impl Default for EngineConfig {
             workers: 1,
             block_size: None,
             trial_budget: None,
-            lost_worker_grace: Duration::from_millis(200),
             checkpoint_every: 0,
-            chaos_kill: None,
         }
     }
 }
@@ -228,34 +163,29 @@ impl std::fmt::Display for Reproducer {
 
 /// What the executor observed while running a campaign.
 ///
-/// The accumulator in [`CampaignRun`] is deterministic; the scheduling
-/// counters here (steals, pending high-water) are not, and must never
-/// be golden-pinned.
+/// Without a trial budget, the counts and reproducer lists here are as
+/// deterministic as the accumulator in [`CampaignRun`]. Timeouts depend
+/// on wall-clock time and the pending high-water mark on scheduling, so
+/// neither may be golden-pinned.
 #[derive(Debug, Clone, Default)]
 pub struct EngineReport {
     /// Total trials in the campaign (including any resumed prefix).
     pub trials: u64,
     /// Trials whose outcome was merged into the accumulator this run.
     pub completed: u64,
-    /// Trials skipped because they were quarantined after a worker
-    /// loss (their block was re-executed without them).
-    pub skipped: u64,
     /// Trials that panicked, in trial order.
     pub panicked: Vec<Reproducer>,
-    /// Trials that blew their budget (cooperatively cancelled, caught
-    /// over budget on return, or abandoned with a lost worker), in
-    /// trial order.
+    /// Trials that returned past their budget (whether they noticed
+    /// [`TrialCtx::cancelled`] or not), in trial order.
     pub timed_out: Vec<Reproducer>,
-    /// Scheduling blocks the campaign was partitioned into.
+    /// Scheduling blocks this run executed.
     pub blocks: u64,
-    /// Blocks claimed from another worker's deque.
+    /// Always 0: workers claim blocks from one shared counter in index
+    /// order, so no block is ever taken from another worker. Kept for
+    /// report readers that still print it.
     pub steals: u64,
-    /// Worker threads the run started with.
+    /// Worker threads the run used (0 on the sequential path).
     pub workers: usize,
-    /// Workers declared lost (watchdog or chaos injection).
-    pub lost_workers: usize,
-    /// Replacement workers spawned after every original worker died.
-    pub respawned_workers: usize,
     /// High-water mark of completed-but-not-yet-folded blocks — the
     /// engine's only trial-count-independent buffering, bounded by
     /// O(workers).
@@ -283,7 +213,7 @@ pub struct ResumePoint<A> {
 
 /// Optional run inputs: resume state and a checkpoint callback.
 ///
-/// The callback is invoked on the coordinating thread every
+/// The callback is invoked on the calling thread every
 /// [`EngineConfig::checkpoint_every`] folded trials with the absolute
 /// folded-prefix length and the accumulator over exactly that prefix.
 pub struct CampaignOptions<'cb, A> {

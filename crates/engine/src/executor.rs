@@ -1,146 +1,87 @@
-//! The work-stealing executor and its sequential reference twin.
+//! The self-scheduling executor and its sequential reference twin.
 //!
 //! # Scheduling
 //!
 //! Trials are partitioned into fixed-size *blocks*; the partition is a
-//! pure function of the trial count (never of the worker count).
-//! Blocks are dealt round-robin across per-worker deques, one deque
-//! per [`Tier`]. A worker claims from the front of its own deque
-//! (locality: it keeps walking its dealt arithmetic progression of
-//! block indices), falls back to the rescue queue left behind by lost
-//! workers, and finally steals from the *back* of the most-loaded
-//! victim's deque — the block its owner would reach last. Tiers drain
-//! strictly in order so smoke trials are never starved by long-horizon
-//! work.
+//! pure function of the campaign's trial count (never of the worker
+//! count, nor of where a resumed run starts). Workers run under
+//! `std::thread::scope` and claim blocks in index order from one shared
+//! counter. Trials are independent and pure, so there is nothing to
+//! gain from locality or stealing: whichever worker is free takes the
+//! next block.
 //!
 //! # Determinism
 //!
 //! Each trial runs into a fresh accumulator; successful trial
 //! accumulators fold into the block partial in trial order; block
 //! partials fold into the campaign accumulator strictly in block-index
-//! order on the coordinating thread. The fold tree is therefore fixed
-//! by `(trials, block_size)` alone and every accumulator bit — floats
-//! included — is identical at any worker count, under any steal
-//! schedule, and across worker loss and re-execution.
+//! order on the calling thread. The fold tree is therefore fixed by
+//! `(trials, block_size)` alone and every accumulator bit — floats
+//! included — is identical at any worker count and across a
+//! checkpoint/resume split.
 //!
 //! # Robustness
 //!
 //! Every trial runs under `catch_unwind`; a panic becomes a
-//! [`Reproducer`] record, not a dead campaign. A watchdog asks
-//! over-budget trials to cancel cooperatively, and past a grace period
-//! declares the stuck worker lost: its deques are tipped into the
-//! rescue queue, the stuck trial is quarantined (it would stick
-//! again), and its in-flight block is re-executed by the survivors —
-//! trials are pure functions of their index, so re-execution is safe.
-//! If every worker dies the watchdog spawns a replacement, so the
-//! campaign always drains.
+//! [`Reproducer`] record, not a dead campaign. A trial budget is
+//! cooperative ([`TrialCtx::cancelled`]) and checked again when the
+//! trial returns, so an overrun is recorded the same way on both paths.
+//! Completed-but-unfolded blocks are capped at O(workers): a worker
+//! holding block `i` waits until `i < cursor + cap`, where `cursor` is
+//! the next block to fold. Claims are monotone, so the cursor's block
+//! is always held by a worker that is not waiting, and the fold always
+//! advances.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 use crate::campaign::{
-    CampaignOptions, CampaignRun, EngineConfig, EngineReport, Reproducer, ResumePoint, Tier,
-    TrialCampaign, TrialCtx,
+    CampaignOptions, CampaignRun, EngineConfig, EngineReport, Reproducer, TrialCampaign, TrialCtx,
 };
 
 /// Default block size for a campaign of `trials` trials: aim for ~256
-/// blocks (enough slack for stealing), clamped to `[1, 4096]` so huge
-/// campaigns stream through bounded blocks. A pure function of the
-/// trial count — never of the worker count — so the fold tree, and
-/// with it every accumulator bit, is fixed before scheduling starts.
+/// blocks, clamped to `[1, 4096]` so huge campaigns stream through
+/// bounded blocks. A pure function of the trial count — never of the
+/// worker count — so the fold tree, and with it every accumulator bit,
+/// is fixed before scheduling starts.
 pub fn auto_block_size(trials: u64) -> u64 {
     trials.div_ceil(256).clamp(1, 4096)
 }
 
-/// One contiguous run of trial indices, the unit of scheduling.
-#[derive(Debug, Clone, Copy)]
-struct Block {
-    index: u64,
-    start: u64,
-    end: u64,
-    tier: usize,
+/// The block partition of the unfolded suffix `[base, total)`.
+struct Partition {
+    base: u64,
+    total: u64,
+    size: u64,
 }
 
-/// Everything the scheduler mutates, under one mutex.
-struct SchedState<A> {
-    /// Per-worker, per-tier deques of unclaimed blocks.
-    queues: Vec<[VecDeque<Block>; Tier::COUNT]>,
-    /// Blocks reclaimed from lost workers, claimable by anyone.
-    rescue: [VecDeque<Block>; Tier::COUNT],
-    /// Blocks not yet delivered to `pending` (queued or in flight).
-    outstanding: u64,
-    /// Blocks sitting in `queues` + `rescue`.
-    queued: u64,
-    /// Completed block partials awaiting the in-order fold.
-    pending: BTreeMap<u64, A>,
-    /// Next block index the folder will consume.
-    cursor: u64,
-    /// Per-worker lost flags (a lost worker's reports are discarded).
-    lost: Vec<bool>,
-    /// Workers not lost and not exited.
-    live: usize,
-    /// Trial indices to skip on (re-)execution.
-    quarantined: BTreeSet<u64>,
-    panicked: Vec<Reproducer>,
-    timed_out: Vec<Reproducer>,
-    completed: u64,
-    skipped: u64,
-    steals: u64,
-    lost_workers: usize,
-    respawned: usize,
-    max_pending: usize,
-}
-
-/// Watchdog-visible execution state of one worker thread.
-struct WorkerSlot {
-    /// Cancellation request for the trial in flight.
-    cancel: AtomicBool,
-    /// Trial index in flight (valid while `busy_since != 0`).
-    trial: AtomicU64,
-    /// Nanoseconds since the engine epoch at which the in-flight trial
-    /// started; 0 while idle.
-    busy_since: AtomicU64,
-    /// Trials executed by this worker (drives chaos injection).
-    trials_run: AtomicU64,
-    /// Block currently being executed, for rescue on loss.
-    current: Mutex<Option<Block>>,
-}
-
-impl WorkerSlot {
-    fn new() -> Self {
-        WorkerSlot {
-            cancel: AtomicBool::new(false),
-            trial: AtomicU64::new(0),
-            busy_since: AtomicU64::new(0),
-            trials_run: AtomicU64::new(0),
-            current: Mutex::new(None),
+impl Partition {
+    /// The block size comes from the campaign's full trial count, not
+    /// from the suffix length: a resume point lands on a block boundary,
+    /// so the resumed run walks exactly the uninterrupted run's blocks.
+    fn new<C: TrialCampaign>(campaign: &C, cfg: &EngineConfig, base: u64) -> Self {
+        let total = campaign.trials();
+        Partition {
+            base: base.min(total),
+            total,
+            size: cfg
+                .block_size
+                .unwrap_or_else(|| auto_block_size(total))
+                .max(1),
         }
     }
-}
 
-struct Shared<C: TrialCampaign> {
-    campaign: C,
-    cfg: EngineConfig,
-    state: Mutex<SchedState<C::Acc>>,
-    /// Wakes workers (new rescue work, or pending drained below cap).
-    work_cv: Condvar,
-    /// Wakes the folder (a new partial landed in `pending`).
-    fold_cv: Condvar,
-    /// Worker slots; grows if replacements are spawned.
-    slots: Mutex<Vec<Arc<WorkerSlot>>>,
-    epoch: Instant,
-    done: AtomicBool,
-    /// Completed-but-unfolded block cap: claiming stalls above it so
-    /// buffering stays O(workers) regardless of trial count.
-    pending_cap: usize,
-}
+    fn len(&self) -> u64 {
+        (self.total - self.base).div_ceil(self.size)
+    }
 
-impl<C: TrialCampaign> Shared<C> {
-    fn nanos(&self) -> u64 {
-        (self.epoch.elapsed().as_nanos() as u64).max(1)
+    fn block(&self, index: u64) -> Range<u64> {
+        let start = self.base + index * self.size;
+        start..(start + self.size).min(self.total)
     }
 }
 
@@ -154,349 +95,126 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Partitions `[base, total)` into blocks of `block_size` trials.
-fn partition<C: TrialCampaign>(campaign: &C, base: u64, total: u64, block_size: u64) -> Vec<Block> {
-    let mut blocks = Vec::new();
-    let mut start = base;
-    let mut index = 0;
-    while start < total {
-        let end = (start + block_size).min(total);
-        blocks.push(Block {
-            index,
-            start,
-            end,
-            tier: campaign.tier(start).index(),
-        });
-        index += 1;
-        start = end;
-    }
-    blocks
-}
-
-/// Runs one trial in a fresh accumulator under `catch_unwind`.
-enum TrialExec<A> {
-    Done(A),
-    Panicked(String),
-    TimedOut(String),
-}
-
-fn exec_trial<C: TrialCampaign>(
+/// Runs the trials of one block, each into a fresh accumulator under
+/// `catch_unwind`, folding the survivors in trial order. The result is
+/// the block's partial plus its `completed`, `panicked` and `timed_out`
+/// records.
+fn run_block<C: TrialCampaign>(
     campaign: &C,
-    trial: u64,
-    cancel: &AtomicBool,
     budget: Option<Duration>,
-) -> TrialExec<C::Acc> {
-    let ctx = TrialCtx::new(cancel, budget, trial);
-    let mut acc = campaign.empty();
-    let started = ctx.started();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        campaign.run_trial(trial, &ctx, &mut acc)
-    }));
-    let elapsed = started.elapsed();
-    match result {
-        Err(payload) => TrialExec::Panicked(panic_detail(payload)),
-        Ok(()) if cancel.load(Ordering::Relaxed) || budget.is_some_and(|b| elapsed > b) => {
-            TrialExec::TimedOut(format!(
-                "exceeded trial budget: ran {}ms against {}ms",
-                elapsed.as_millis(),
-                budget.map_or(0, |b| b.as_millis())
-            ))
-        }
-        Ok(()) => TrialExec::Done(acc),
-    }
-}
-
-/// Claims the next block for worker `me`, or `None` if none is
-/// runnable right now. Tiers drain strictly in order; within a tier:
-/// own deque front, then rescue, then steal from the back of the
-/// most-loaded victim.
-fn claim<A>(st: &mut SchedState<A>, me: usize) -> Option<Block> {
-    for tier in 0..Tier::COUNT {
-        if let Some(b) = st.queues[me][tier].pop_front() {
-            st.queued -= 1;
-            return Some(b);
-        }
-        if let Some(b) = st.rescue[tier].pop_front() {
-            st.queued -= 1;
-            return Some(b);
-        }
-        let victim = (0..st.queues.len())
-            .filter(|&v| v != me && !st.queues[v][tier].is_empty())
-            .max_by_key(|&v| st.queues[v][tier].len());
-        if let Some(v) = victim {
-            let b = st.queues[v][tier]
-                .pop_back()
-                .expect("victim deque non-empty");
-            st.queued -= 1;
-            st.steals += 1;
-            return Some(b);
-        }
-    }
-    None
-}
-
-/// Claims the specific block `index` if it is still queued anywhere
-/// (used under fold-buffer backpressure, where only the folder's next
-/// block may enter execution).
-fn claim_index<A>(st: &mut SchedState<A>, index: u64) -> Option<Block> {
-    for w in 0..st.queues.len() {
-        for tier in 0..Tier::COUNT {
-            if let Some(pos) = st.queues[w][tier].iter().position(|b| b.index == index) {
-                let b = st.queues[w][tier].remove(pos).expect("position valid");
-                st.queued -= 1;
-                return Some(b);
-            }
-        }
-    }
-    for tier in 0..Tier::COUNT {
-        if let Some(pos) = st.rescue[tier].iter().position(|b| b.index == index) {
-            let b = st.rescue[tier].remove(pos).expect("position valid");
-            st.queued -= 1;
-            return Some(b);
-        }
-    }
-    None
-}
-
-/// Marks worker `w` lost: tips its deques (and, if given, its in-flight
-/// block) into the rescue queue and wakes everyone.
-fn mark_lost<A>(st: &mut SchedState<A>, w: usize, in_flight: Option<Block>) {
-    st.lost[w] = true;
-    st.live -= 1;
-    st.lost_workers += 1;
-    let tiers = std::mem::take(&mut st.queues[w]);
-    for (tier, q) in tiers.into_iter().enumerate() {
-        for b in q {
-            st.rescue[tier].push_back(b);
-        }
-    }
-    if let Some(b) = in_flight {
-        // Front of the rescue queue: the folder is likely waiting on it.
-        st.rescue[b.tier].push_front(b);
-        st.queued += 1;
-    }
-}
-
-fn worker_loop<C: TrialCampaign + Send + Sync + 'static>(
-    shared: Arc<Shared<C>>,
-    me: usize,
-    slot: Arc<WorkerSlot>,
-) {
-    loop {
-        // Claim the next block (or exit when the campaign has drained).
-        let block = {
-            let mut st = shared.state.lock().expect("engine state poisoned");
-            loop {
-                if st.lost[me] {
-                    return;
-                }
-                if st.outstanding == 0 {
-                    st.live -= 1;
-                    return;
-                }
-                // Backpressure: once the fold buffer is at cap, the only
-                // claimable block is the one the folder is waiting on —
-                // anything else would grow the buffer past O(workers).
-                if st.pending.len() < shared.pending_cap {
-                    if let Some(b) = claim(&mut st, me) {
-                        break b;
-                    }
-                } else {
-                    let cursor = st.cursor;
-                    if let Some(b) = claim_index(&mut st, cursor) {
-                        break b;
-                    }
-                }
-                st = shared.work_cv.wait(st).expect("engine state poisoned");
-            }
-        };
-        *slot.current.lock().expect("slot poisoned") = Some(block);
-
-        // Snapshot the quarantine list for this range.
-        let quarantined: Vec<u64> = {
-            let st = shared.state.lock().expect("engine state poisoned");
-            st.quarantined
-                .range(block.start..block.end)
-                .copied()
-                .collect()
-        };
-
-        let mut acc = shared.campaign.empty();
-        let mut panicked = Vec::new();
-        let mut timed_out = Vec::new();
-        let mut completed = 0u64;
-        let mut skipped = 0u64;
-        let mut died_mid_block = false;
-        for trial in block.start..block.end {
-            if quarantined.binary_search(&trial).is_ok() {
-                skipped += 1;
+    trials: Range<u64>,
+) -> CampaignRun<C::Acc> {
+    let mut acc_block = campaign.empty();
+    let mut report = EngineReport::default();
+    for trial in trials {
+        let ctx = TrialCtx::new(budget, trial);
+        let mut acc = campaign.empty();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            campaign.run_trial(trial, &ctx, &mut acc)
+        }));
+        let elapsed = ctx.elapsed();
+        let (list, detail) = match (result, budget) {
+            (Err(payload), _) => (&mut report.panicked, panic_detail(payload)),
+            (Ok(()), Some(b)) if elapsed > b => (
+                &mut report.timed_out,
+                format!(
+                    "exceeded trial budget: ran {}ms against {}ms",
+                    elapsed.as_millis(),
+                    b.as_millis()
+                ),
+            ),
+            (Ok(()), _) => {
+                campaign.merge(&mut acc_block, acc);
+                report.completed += 1;
                 continue;
             }
-            slot.trial.store(trial, Ordering::Relaxed);
-            slot.cancel.store(false, Ordering::Relaxed);
-            slot.busy_since.store(shared.nanos(), Ordering::Relaxed);
-            let exec = exec_trial(
-                &shared.campaign,
-                trial,
-                &slot.cancel,
-                shared.cfg.trial_budget,
-            );
-            slot.busy_since.store(0, Ordering::Relaxed);
-            match exec {
-                TrialExec::Done(tacc) => {
-                    shared.campaign.merge(&mut acc, tacc);
-                    completed += 1;
-                }
-                TrialExec::Panicked(detail) => panicked.push(Reproducer {
-                    campaign: shared.campaign.label(),
-                    rng_label: shared.campaign.rng_label(),
-                    trial,
-                    detail,
-                }),
-                TrialExec::TimedOut(detail) => timed_out.push(Reproducer {
-                    campaign: shared.campaign.label(),
-                    rng_label: shared.campaign.rng_label(),
-                    trial,
-                    detail,
-                }),
-            }
-            slot.trials_run.fetch_add(1, Ordering::Relaxed);
-            if let Some(kill) = shared.cfg.chaos_kill {
-                if kill.worker == me && slot.trials_run.load(Ordering::Relaxed) >= kill.after_trials
-                {
-                    died_mid_block = true;
-                    break;
-                }
-            }
-        }
-
-        let mut current = slot.current.lock().expect("slot poisoned");
-        let mut st = shared.state.lock().expect("engine state poisoned");
-        if st.lost[me] {
-            // The watchdog already rescued our block; our partial (and
-            // its outcome records) must be discarded — the re-execution
-            // will regenerate them.
-            return;
-        }
-        let rescued = current.take();
-        if died_mid_block {
-            // Chaos injection: abandon the partial block and die. The
-            // full block is re-executed elsewhere; trials are pure
-            // functions of their index, so the result is unchanged.
-            mark_lost(&mut st, me, rescued);
-            shared.work_cv.notify_all();
-            shared.fold_cv.notify_all();
-            return;
-        }
-        st.pending.insert(block.index, acc);
-        st.max_pending = st.max_pending.max(st.pending.len());
-        st.outstanding -= 1;
-        st.completed += completed;
-        st.skipped += skipped;
-        st.panicked.append(&mut panicked);
-        st.timed_out.append(&mut timed_out);
-        shared.fold_cv.notify_all();
-        if st.outstanding == 0 {
-            shared.work_cv.notify_all();
-        }
-    }
-}
-
-/// Watchdog: cancels over-budget trials, declares non-cooperating
-/// workers lost past the grace period, and respawns a worker if every
-/// worker has died with work still queued.
-fn watchdog_loop<C: TrialCampaign + Send + Sync + 'static>(shared: Arc<Shared<C>>) {
-    let poll = shared
-        .cfg
-        .trial_budget
-        .map(|b| (b / 4).clamp(Duration::from_millis(1), Duration::from_millis(50)))
-        .unwrap_or(Duration::from_millis(2));
-    while !shared.done.load(Ordering::Relaxed) {
-        std::thread::sleep(poll);
-        let slots: Vec<Arc<WorkerSlot>> = shared.slots.lock().expect("slots poisoned").clone();
-        if let Some(budget) = shared.cfg.trial_budget {
-            let grace = budget + shared.cfg.lost_worker_grace;
-            for (w, slot) in slots.iter().enumerate() {
-                let busy = slot.busy_since.load(Ordering::Relaxed);
-                if busy == 0 {
-                    continue;
-                }
-                let elapsed = Duration::from_nanos(shared.nanos().saturating_sub(busy));
-                if elapsed > budget {
-                    slot.cancel.store(true, Ordering::Relaxed);
-                }
-                if elapsed > grace {
-                    // The trial ignored cancellation: declare the worker
-                    // lost, quarantine the stuck trial and rescue the
-                    // rest of its block.
-                    let mut current = slot.current.lock().expect("slot poisoned");
-                    let mut st = shared.state.lock().expect("engine state poisoned");
-                    let still_same = slot.busy_since.load(Ordering::Relaxed) == busy;
-                    if st.lost[w] || !still_same {
-                        continue;
-                    }
-                    let trial = slot.trial.load(Ordering::Relaxed);
-                    st.quarantined.insert(trial);
-                    st.timed_out.push(Reproducer {
-                        campaign: shared.campaign.label(),
-                        rng_label: shared.campaign.rng_label(),
-                        trial,
-                        detail: format!(
-                            "stuck past budget + grace ({}ms); worker {w} declared lost",
-                            grace.as_millis()
-                        ),
-                    });
-                    st.skipped += 1;
-                    mark_lost(&mut st, w, current.take());
-                    shared.work_cv.notify_all();
-                    shared.fold_cv.notify_all();
-                }
-            }
-        }
-        // Graceful degradation floor: if everyone died with work left,
-        // spawn a replacement so the campaign still drains.
-        let respawn = {
-            let mut st = shared.state.lock().expect("engine state poisoned");
-            if st.live == 0 && st.outstanding > 0 {
-                let idx = st.queues.len();
-                st.queues.push(Default::default());
-                st.lost.push(false);
-                st.live += 1;
-                st.respawned += 1;
-                Some(idx)
-            } else {
-                None
-            }
         };
-        if let Some(idx) = respawn {
-            let slot = Arc::new(WorkerSlot::new());
-            shared
-                .slots
-                .lock()
-                .expect("slots poisoned")
-                .push(Arc::clone(&slot));
-            let shared2 = Arc::clone(&shared);
-            std::thread::spawn(move || worker_loop(shared2, idx, slot));
+        list.push(Reproducer {
+            campaign: campaign.label(),
+            rng_label: campaign.rng_label(),
+            trial,
+            detail,
+        });
+    }
+    CampaignRun {
+        acc: acc_block,
+        report,
+    }
+}
+
+/// The in-order fold both paths share: the campaign accumulator and
+/// report, and the checkpoint cadence.
+struct Fold<'cb, A> {
+    run: CampaignRun<A>,
+    every: u64,
+    next_checkpoint: u64,
+    #[allow(clippy::type_complexity)]
+    on_checkpoint: Option<&'cb dyn Fn(u64, &A)>,
+}
+
+impl<'cb, A> Fold<'cb, A> {
+    fn start<C: TrialCampaign<Acc = A>>(
+        campaign: &C,
+        cfg: &EngineConfig,
+        opts: CampaignOptions<'cb, A>,
+        workers: usize,
+    ) -> (Partition, Self) {
+        let base = opts.resume.as_ref().map_or(0, |r| r.trials_done);
+        let blocks = Partition::new(campaign, cfg, base);
+        let report = EngineReport {
+            trials: blocks.total,
+            blocks: blocks.len(),
+            workers,
+            ..EngineReport::default()
+        };
+        let fold = Fold {
+            run: CampaignRun {
+                acc: opts.resume.map_or_else(|| campaign.empty(), |r| r.acc),
+                report,
+            },
+            every: cfg.checkpoint_every,
+            next_checkpoint: match cfg.checkpoint_every {
+                0 => u64::MAX,
+                every => blocks.base + every,
+            },
+            on_checkpoint: opts.on_checkpoint,
+        };
+        (blocks, fold)
+    }
+
+    /// Folds the next block, which ends at trial `end`, and fires the
+    /// checkpoint callback when its cadence is due.
+    fn push<C: TrialCampaign<Acc = A>>(&mut self, campaign: &C, block: CampaignRun<A>, end: u64) {
+        let run = &mut self.run;
+        campaign.merge(&mut run.acc, block.acc);
+        run.report.completed += block.report.completed;
+        run.report.panicked.extend(block.report.panicked);
+        run.report.timed_out.extend(block.report.timed_out);
+        if end >= self.next_checkpoint {
+            if let Some(cb) = self.on_checkpoint {
+                cb(end, &run.acc);
+            }
+            self.next_checkpoint = end + self.every;
         }
     }
 }
 
-/// Runs a campaign on the work-stealing executor. See
-/// [`run_campaign_with`] for resume and checkpoint hooks.
+/// Runs a campaign on the threaded executor. See [`run_campaign_with`]
+/// for resume and checkpoint hooks.
 pub fn run_campaign<C>(campaign: C, cfg: &EngineConfig) -> CampaignRun<C::Acc>
 where
-    C: TrialCampaign + Send + Sync + 'static,
+    C: TrialCampaign + Sync,
 {
     run_campaign_with(campaign, cfg, CampaignOptions::default())
 }
 
 /// Runs a campaign on the path its worker count selects: the in-thread
-/// sequential reference below two workers (the legacy path), the
-/// work-stealing executor otherwise. The two produce bit-identical
-/// accumulators, so the choice is purely about threads spawned.
+/// sequential reference below two workers, the threaded executor
+/// otherwise. The two produce bit-identical accumulators, so the choice
+/// is purely about threads spawned.
 pub fn run_trials<C>(campaign: C, cfg: &EngineConfig) -> CampaignRun<C::Acc>
 where
-    C: TrialCampaign + Send + Sync + 'static,
+    C: TrialCampaign + Sync,
 {
     run_trials_with(campaign, cfg, CampaignOptions::default())
 }
@@ -508,7 +226,7 @@ pub fn run_trials_with<C>(
     opts: CampaignOptions<'_, C::Acc>,
 ) -> CampaignRun<C::Acc>
 where
-    C: TrialCampaign + Send + Sync + 'static,
+    C: TrialCampaign + Sync,
 {
     if cfg.workers <= 1 {
         run_sequential_with(&campaign, cfg, opts)
@@ -517,176 +235,140 @@ where
     }
 }
 
-/// Runs a campaign on the work-stealing executor with resume /
-/// checkpoint options.
+/// Hand-off between the workers and the folding thread.
+struct Exchange<A> {
+    /// Completed block runs awaiting the in-order fold.
+    pending: BTreeMap<u64, CampaignRun<A>>,
+    /// Next block index the fold consumes.
+    cursor: u64,
+    max_pending: usize,
+    /// Set when any participant unwinds, so nobody waits forever.
+    aborted: bool,
+}
+
+struct Shared<A> {
+    state: Mutex<Exchange<A>>,
+    /// Signalled when the cursor's block lands or the cursor advances.
+    changed: Condvar,
+}
+
+// Every update leaves the exchange consistent, and a participant that
+// unwinds sets `aborted` on its way out, so a poisoned lock is usable.
+impl<A> Shared<A> {
+    fn lock(&self) -> MutexGuard<'_, Exchange<A>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, st: MutexGuard<'a, Exchange<A>>) -> MutexGuard<'a, Exchange<A>> {
+        self.changed
+            .wait(st)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Marks the exchange aborted if its thread unwinds, so the other
+/// participants stop waiting and the scope can join and re-raise.
+struct AbortOnUnwind<'a, A>(&'a Shared<A>);
+
+impl<A> Drop for AbortOnUnwind<'_, A> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().aborted = true;
+            self.0.changed.notify_all();
+        }
+    }
+}
+
+/// Runs a campaign on the threaded executor with resume / checkpoint
+/// options.
 ///
-/// Workers are real (unscoped) threads: a worker declared lost may
-/// still be stuck inside a trial and is simply abandoned — it discards
-/// its own results when it eventually returns. All surviving workers
-/// are joined before this function returns.
+/// `cfg.workers` scoped threads claim blocks in index order; this
+/// thread folds their partials in block order and fires the checkpoint
+/// callback, which therefore need not be `Sync`. Every worker is joined
+/// before this function returns.
 pub fn run_campaign_with<C>(
     campaign: C,
     cfg: &EngineConfig,
     opts: CampaignOptions<'_, C::Acc>,
 ) -> CampaignRun<C::Acc>
 where
-    C: TrialCampaign + Send + Sync + 'static,
+    C: TrialCampaign + Sync,
 {
-    let total = campaign.trials();
-    let base = opts.resume.as_ref().map_or(0, |r| r.trials_done.min(total));
-    let mut acc = match opts.resume {
-        Some(r) => r.acc,
-        None => campaign.empty(),
-    };
     let workers = cfg.workers.max(1);
-    let block_size = cfg
-        .block_size
-        .unwrap_or_else(|| auto_block_size(total - base))
-        .max(1);
-    let blocks = partition(&campaign, base, total, block_size);
-    let n_blocks = blocks.len() as u64;
-
-    let mut queues: Vec<[VecDeque<Block>; Tier::COUNT]> =
-        (0..workers).map(|_| Default::default()).collect();
-    for b in &blocks {
-        queues[(b.index % workers as u64) as usize][b.tier].push_back(*b);
-    }
-    let shared = Arc::new(Shared {
-        campaign,
-        cfg: cfg.clone(),
-        state: Mutex::new(SchedState {
-            queues,
-            rescue: Default::default(),
-            outstanding: n_blocks,
-            queued: n_blocks,
+    let (blocks, mut fold) = Fold::start(&campaign, cfg, opts, workers);
+    let n_blocks = blocks.len();
+    let cap = workers as u64 * 4 + 4;
+    let next = AtomicU64::new(0);
+    let shared = Shared {
+        state: Mutex::new(Exchange {
             pending: BTreeMap::new(),
             cursor: 0,
-            lost: vec![false; workers],
-            live: workers,
-            quarantined: BTreeSet::new(),
-            panicked: Vec::new(),
-            timed_out: Vec::new(),
-            completed: 0,
-            skipped: 0,
-            steals: 0,
-            lost_workers: 0,
-            respawned: 0,
             max_pending: 0,
+            aborted: false,
         }),
-        work_cv: Condvar::new(),
-        fold_cv: Condvar::new(),
-        slots: Mutex::new((0..workers).map(|_| Arc::new(WorkerSlot::new())).collect()),
-        epoch: Instant::now(),
-        done: AtomicBool::new(false),
-        pending_cap: workers * 4 + 4,
-    });
-
-    let handles: Vec<_> = {
-        let slots = shared.slots.lock().expect("slots poisoned").clone();
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(shared, i, slot))
-            })
-            .collect()
+        changed: Condvar::new(),
     };
-    let watchdog = (cfg.trial_budget.is_some() || cfg.chaos_kill.is_some()).then(|| {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || watchdog_loop(shared))
-    });
 
-    // In-order fold on this thread: blocks leave `pending` strictly by
-    // index, so the fold tree never depends on the schedule.
-    let mut folded_blocks = 0u64;
-    let mut next_checkpoint = if cfg.checkpoint_every > 0 {
-        base + cfg.checkpoint_every
-    } else {
-        u64::MAX
-    };
-    while folded_blocks < n_blocks {
-        let batch: Vec<(u64, C::Acc)> = {
-            let mut st = shared.state.lock().expect("engine state poisoned");
-            loop {
-                let mut batch = Vec::new();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                let _guard = AbortOnUnwind(&shared);
                 loop {
-                    let idx = st.cursor;
-                    let Some(partial) = st.pending.remove(&idx) else {
-                        break;
-                    };
-                    st.cursor += 1;
-                    batch.push((idx, partial));
+                    // The counter publishes no data: a block is a pure
+                    // function of its index.
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    if index >= n_blocks {
+                        return;
+                    }
+                    let mut st = shared.lock();
+                    while !st.aborted && index >= st.cursor + cap {
+                        st = shared.wait(st);
+                    }
+                    if st.aborted {
+                        return;
+                    }
+                    drop(st);
+                    let run = run_block(&campaign, cfg.trial_budget, blocks.block(index));
+                    let mut st = shared.lock();
+                    st.pending.insert(index, run);
+                    st.max_pending = st.max_pending.max(st.pending.len());
+                    if index == st.cursor {
+                        shared.changed.notify_all();
+                    }
                 }
-                if !batch.is_empty() {
-                    // Draining may unblock claim backpressure.
-                    shared.work_cv.notify_all();
-                    break batch;
-                }
-                st = shared.fold_cv.wait(st).expect("engine state poisoned");
-            }
-        };
-        for (idx, partial) in batch {
-            shared.campaign.merge(&mut acc, partial);
-            folded_blocks += 1;
-            let prefix = blocks[idx as usize].end;
-            if prefix >= next_checkpoint {
-                if let Some(cb) = opts.on_checkpoint {
-                    cb(prefix, &acc);
-                }
-                next_checkpoint = prefix + cfg.checkpoint_every;
-            }
+            });
         }
-    }
-    shared.done.store(true, Ordering::Relaxed);
-    {
-        // Wake anything still waiting so it can observe outstanding == 0.
-        let _st = shared.state.lock().expect("engine state poisoned");
-        shared.work_cv.notify_all();
-    }
-    if let Some(w) = watchdog {
-        let _ = w.join();
-    }
-    let lost = {
-        let st = shared.state.lock().expect("engine state poisoned");
-        st.lost.clone()
-    };
-    for (i, h) in handles.into_iter().enumerate() {
-        // A lost worker may be stuck inside a trial forever; abandon it.
-        if !lost.get(i).copied().unwrap_or(true) {
-            let _ = h.join();
-        }
-    }
 
-    let mut st = shared.state.lock().expect("engine state poisoned");
-    let mut panicked = std::mem::take(&mut st.panicked);
-    let mut timed_out = std::mem::take(&mut st.timed_out);
-    panicked.sort_by_key(|r| r.trial);
-    timed_out.sort_by_key(|r| r.trial);
-    CampaignRun {
-        acc,
-        report: EngineReport {
-            trials: total,
-            completed: st.completed,
-            skipped: st.skipped,
-            panicked,
-            timed_out,
-            blocks: n_blocks,
-            steals: st.steals,
-            workers,
-            lost_workers: st.lost_workers,
-            respawned_workers: st.respawned,
-            max_pending_blocks: st.max_pending,
-        },
-    }
+        let _guard = AbortOnUnwind(&shared);
+        for index in 0..n_blocks {
+            let mut st = shared.lock();
+            let run = loop {
+                if st.aborted {
+                    // A worker panicked outside a trial; the scope
+                    // re-raises its panic once every thread is joined.
+                    return;
+                }
+                if let Some(run) = st.pending.remove(&index) {
+                    break run;
+                }
+                st = shared.wait(st);
+            };
+            st.cursor = index + 1;
+            shared.changed.notify_all();
+            drop(st);
+            fold.push(&campaign, run, blocks.block(index).end);
+        }
+    });
+
+    fold.run.report.max_pending_blocks = shared.lock().max_pending;
+    fold.run
 }
 
 /// Sequential reference executor: identical block partition and fold
 /// order to [`run_campaign`] — and therefore a bit-identical
-/// accumulator — but zero threads, no stealing and no watchdog
-/// (budgets are still enforced cooperatively and post hoc). This is
-/// the "legacy path" campaigns use below two threads, and the
-/// differential twin `verify.sh` pits the executor against.
+/// accumulator — but zero threads. This is the path campaigns take
+/// below two threads, and the differential twin `verify.sh` pits the
+/// threaded executor against.
 pub fn run_sequential<C>(campaign: &C, cfg: &EngineConfig) -> CampaignRun<C::Acc>
 where
     C: TrialCampaign,
@@ -703,67 +385,11 @@ pub fn run_sequential_with<C>(
 where
     C: TrialCampaign,
 {
-    let total = campaign.trials();
-    let base = opts.resume.as_ref().map_or(0, |r| r.trials_done.min(total));
-    let mut acc = match opts.resume {
-        Some(r) => r.acc,
-        None => campaign.empty(),
-    };
-    let block_size = cfg
-        .block_size
-        .unwrap_or_else(|| auto_block_size(total - base))
-        .max(1);
-    let blocks = partition(campaign, base, total, block_size);
-    let cancel = AtomicBool::new(false);
-    let mut report = EngineReport {
-        trials: total,
-        blocks: blocks.len() as u64,
-        workers: 0,
-        ..EngineReport::default()
-    };
-    let mut next_checkpoint = if cfg.checkpoint_every > 0 {
-        base + cfg.checkpoint_every
-    } else {
-        u64::MAX
-    };
-    for b in &blocks {
-        let mut partial = campaign.empty();
-        for trial in b.start..b.end {
-            cancel.store(false, Ordering::Relaxed);
-            match exec_trial(campaign, trial, &cancel, cfg.trial_budget) {
-                TrialExec::Done(tacc) => {
-                    campaign.merge(&mut partial, tacc);
-                    report.completed += 1;
-                }
-                TrialExec::Panicked(detail) => report.panicked.push(Reproducer {
-                    campaign: campaign.label(),
-                    rng_label: campaign.rng_label(),
-                    trial,
-                    detail,
-                }),
-                TrialExec::TimedOut(detail) => report.timed_out.push(Reproducer {
-                    campaign: campaign.label(),
-                    rng_label: campaign.rng_label(),
-                    trial,
-                    detail,
-                }),
-            }
-        }
-        campaign.merge(&mut acc, partial);
-        if b.end >= next_checkpoint {
-            if let Some(cb) = opts.on_checkpoint {
-                cb(b.end, &acc);
-            }
-            next_checkpoint = b.end + cfg.checkpoint_every;
-        }
+    let (blocks, mut fold) = Fold::start(campaign, cfg, opts, 0);
+    for index in 0..blocks.len() {
+        let trials = blocks.block(index);
+        let end = trials.end;
+        fold.push(campaign, run_block(campaign, cfg.trial_budget, trials), end);
     }
-    CampaignRun { acc, report }
-}
-
-/// Returns a [`ResumePoint`] that [`run_campaign_with`] /
-/// [`run_sequential_with`] will accept to continue `campaign` after
-/// `trials_done` folded trials. Provided for symmetry; the struct can
-/// also be built directly.
-pub fn resume_point<A>(trials_done: u64, acc: A) -> ResumePoint<A> {
-    ResumePoint { trials_done, acc }
+    fold.run
 }

@@ -2,38 +2,35 @@
 //!
 //! Every fault-injection campaign in this workspace is, at heart, "run
 //! `N` independent trials and fold their outcomes". This crate owns
-//! that loop and applies the paper's own node-level fault-tolerance
-//! discipline — detect, isolate, degrade gracefully, keep going — to
-//! the harness itself:
+//! that loop and applies the paper's own node-level discipline —
+//! detect and isolate errors locally, handle only the failures that
+//! can actually happen — to the harness itself:
 //!
-//! * **Work stealing.** Trials are grouped into fixed-size blocks dealt
-//!   across per-worker deques with three priority tiers; idle workers
-//!   steal from the back of the most-loaded victim, so skewed trial
-//!   costs cannot leave cores idle and long-horizon trials cannot
-//!   starve smoke trials.
+//! * **Self-scheduling.** Trials are grouped into fixed-size blocks;
+//!   scoped worker threads claim them in index order from one atomic
+//!   counter, so a worker that drew an expensive block simply claims
+//!   fewer of them.
 //! * **Panic isolation.** Each trial runs under
 //!   `std::panic::catch_unwind`; a panicking trial becomes a
 //!   [`Reproducer`] record in the [`EngineReport`], not a dead
-//!   campaign.
-//! * **Trial watchdog.** Over-budget trials are asked to cancel
-//!   cooperatively ([`TrialCtx::cancelled`]); trials that ignore the
-//!   request get their worker declared lost after a grace period — the
-//!   worker's queue is redistributed, the stuck trial is quarantined
-//!   with its `(campaign, trial, rng-label)` reproducer triple, and
-//!   the interrupted block is re-executed by the survivors.
+//!   campaign. In safe Rust a panic is the only way a worker can fail.
+//! * **Trial budgets.** A trial polls its own budget through
+//!   [`TrialCtx::cancelled`]; one that returns past it is recorded as
+//!   timed out with its `(campaign, trial, rng-label)` reproducer
+//!   triple and excluded from the result.
 //! * **Streaming statistics.** Workers fold trial outcomes into
 //!   `sim::stats` accumulators per block; completed blocks merge into
-//!   the campaign accumulator strictly in block-index order, so memory
-//!   stays O(workers) and — because the block partition is a pure
-//!   function of the trial count — every accumulator bit is identical
-//!   at any worker count. Periodic [`Checkpoint`] snapshots let a
-//!   10M-trial run resume after interruption.
+//!   the campaign accumulator strictly in block-index order on the
+//!   calling thread, so memory stays O(workers) and — because the
+//!   block partition is a pure function of the trial count — every
+//!   accumulator bit is identical at any worker count. Periodic
+//!   [`Checkpoint`] snapshots let a 10M-trial run resume after
+//!   interruption, bit-identically.
 //!
 //! The determinism argument in one line: trial randomness is addressed
 //! by `(seed, label, trial-index)` and the fold tree is fixed by
-//! `(trials, block_size)`, so the schedule — stealing, tier order,
-//! worker loss, re-execution — has no channel through which to reach
-//! the result.
+//! `(trials, block_size)`, so the schedule has no channel through
+//! which to reach the result.
 
 #![warn(missing_docs)]
 
@@ -44,11 +41,11 @@ mod executor;
 
 pub use adapter::{indexed_campaign, ClosureCampaign};
 pub use campaign::{
-    CampaignOptions, CampaignRun, ChaosKill, EngineConfig, EngineReport, Reproducer, ResumePoint,
-    Tier, TrialCampaign, TrialCtx,
+    CampaignOptions, CampaignRun, EngineConfig, EngineReport, Reproducer, ResumePoint,
+    TrialCampaign, TrialCtx,
 };
 pub use checkpoint::Checkpoint;
 pub use executor::{
-    auto_block_size, resume_point, run_campaign, run_campaign_with, run_sequential,
-    run_sequential_with, run_trials, run_trials_with,
+    auto_block_size, run_campaign, run_campaign_with, run_sequential, run_sequential_with,
+    run_trials, run_trials_with,
 };

@@ -5,11 +5,9 @@
 // uses a different subset of it.
 #![allow(dead_code)]
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use nlft_engine::{Tier, TrialCampaign, TrialCtx};
+use nlft_engine::{TrialCampaign, TrialCtx};
 use nlft_sim::rng::RngStream;
 use nlft_sim::stats::{Histogram, OnlineStats, Proportion, SurvivalCurve};
 
@@ -32,12 +30,8 @@ pub enum Fault {
     None,
     /// The trial panics halfway through.
     Panic(u64),
-    /// The trial spins until the watchdog asks it to cancel.
+    /// The trial spins until its budget runs out.
     SpinUntilCancelled(u64),
-    /// The trial ignores cancellation and blocks on the latch — only a
-    /// lost-worker declaration gets past it. Release the latch when the
-    /// test ends so the abandoned thread exits.
-    StickOnLatch(u64, Arc<AtomicBool>),
 }
 
 /// A deterministic labelled-RNG campaign with an optional faulty trial.
@@ -79,7 +73,6 @@ impl ToyCampaign {
         match &self.fault {
             Fault::None => None,
             Fault::Panic(t) | Fault::SpinUntilCancelled(t) => Some(*t),
-            Fault::StickOnLatch(t, _) => Some(*t),
         }
     }
 }
@@ -99,15 +92,6 @@ impl TrialCampaign for ToyCampaign {
         "toy-trial".to_string()
     }
 
-    fn tier(&self, trial: u64) -> Tier {
-        // A mixed-tier campaign: the last quarter are smoke trials.
-        if trial * 4 >= self.trials * 3 {
-            Tier::Smoke
-        } else {
-            Tier::Standard
-        }
-    }
-
     fn empty(&self) -> ToyAcc {
         ToyAcc {
             moments: OnlineStats::new(),
@@ -118,7 +102,7 @@ impl TrialCampaign for ToyCampaign {
         }
     }
 
-    fn run_trial(&self, trial: u64, ctx: &TrialCtx<'_>, acc: &mut ToyAcc) {
+    fn run_trial(&self, trial: u64, ctx: &TrialCtx, acc: &mut ToyAcc) {
         if self.faulty_trial() == Some(trial) {
             if self.fault_as_noop {
                 return;
@@ -127,12 +111,6 @@ impl TrialCampaign for ToyCampaign {
                 Fault::Panic(_) => panic!("injected trial panic"),
                 Fault::SpinUntilCancelled(_) => {
                     while !ctx.cancelled() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    return;
-                }
-                Fault::StickOnLatch(_, latch) => {
-                    while !latch.load(Ordering::Relaxed) {
                         std::thread::sleep(Duration::from_millis(1));
                     }
                     return;

@@ -1,6 +1,6 @@
 //! Schedule-independence of the executor: bitwise-identical
-//! accumulators at any worker count, tier ordering, checkpoint/resume,
-//! and the streaming-memory bound.
+//! accumulators at any worker count, checkpoint/resume, and the
+//! streaming-memory bound.
 
 mod common;
 
@@ -9,7 +9,7 @@ use std::sync::Mutex;
 use common::ToyCampaign;
 use nlft_engine::{
     auto_block_size, run_campaign, run_campaign_with, run_sequential, run_sequential_with,
-    CampaignOptions, EngineConfig, ResumePoint, Tier, TrialCampaign, TrialCtx,
+    CampaignOptions, EngineConfig, ResumePoint, TrialCampaign,
 };
 
 #[test]
@@ -55,67 +55,16 @@ fn block_size_choice_is_a_function_of_trials_not_workers() {
     assert_eq!(auto.survival, bs17[0].survival);
 }
 
-#[test]
-fn smoke_tier_runs_before_standard_on_one_worker() {
-    // An order-logging campaign: the last quarter of trials are smoke
-    // tier (see ToyCampaign::tier) and must all execute first.
-    #[derive(Clone)]
-    struct Logger {
-        trials: u64,
-        smoke_cut: u64,
-        order: std::sync::Arc<Mutex<Vec<u64>>>,
-    }
-    impl TrialCampaign for Logger {
-        type Acc = ();
-        fn trials(&self) -> u64 {
-            self.trials
-        }
-        fn label(&self) -> String {
-            "tier-logger".to_string()
-        }
-        fn rng_label(&self) -> String {
-            "tier-trial".to_string()
-        }
-        fn tier(&self, trial: u64) -> Tier {
-            if trial >= self.smoke_cut {
-                Tier::Smoke
-            } else {
-                Tier::Standard
-            }
-        }
-        fn empty(&self) {}
-        fn run_trial(&self, trial: u64, _ctx: &TrialCtx<'_>, _acc: &mut ()) {
-            self.order.lock().unwrap().push(trial);
-        }
-        fn merge(&self, _into: &mut (), _from: ()) {}
-    }
-    let logger = Logger {
-        trials: 120,
-        smoke_cut: 90,
-        order: std::sync::Arc::new(Mutex::new(Vec::new())),
-    };
-    let cfg = EngineConfig {
-        workers: 1,
-        block_size: Some(10),
-        ..EngineConfig::default()
-    };
-    run_campaign(logger.clone(), &cfg);
-    let order = logger.order.lock().unwrap();
-    assert_eq!(order.len(), 120);
-    let first_standard = order.iter().position(|&t| t < 90).unwrap();
-    assert!(
-        order[..first_standard].iter().all(|&t| t >= 90),
-        "smoke trials must all run before the first standard trial on one worker"
-    );
-}
-
-#[test]
-fn checkpoint_resume_reproduces_the_uninterrupted_run_bitwise() {
-    let campaign = ToyCampaign::new(0xC0FFEE, 640);
+/// Checkpoints an uninterrupted threaded run, then resumes from a
+/// mid-run checkpoint on a different worker count and on the sequential
+/// path: both must finish bit-identical to the uninterrupted run.
+fn assert_resume_is_bitwise(campaign: &ToyCampaign, block_size: Option<u64>, every: u64) {
+    let trials = campaign.trials();
+    let size = block_size.unwrap_or_else(|| auto_block_size(trials));
     let cfg = EngineConfig {
         workers: 3,
-        block_size: Some(32),
-        checkpoint_every: 100,
+        block_size,
+        checkpoint_every: every,
         ..EngineConfig::default()
     };
     let checkpoints: Mutex<Vec<ResumePoint<common::ToyAcc>>> = Mutex::new(Vec::new());
@@ -140,18 +89,14 @@ fn checkpoint_resume_reproduces_the_uninterrupted_run_bitwise() {
     );
     // Checkpoints land on block boundaries and carry the exact prefix.
     for cp in &checkpoints {
-        assert_eq!(cp.trials_done % 32, 0);
+        assert_eq!(cp.trials_done % size, 0);
         assert_eq!(cp.acc.hits.trials(), cp.trials_done);
     }
-    // Resume from a mid-run checkpoint on a *different* worker count:
-    // the finished accumulator must be bit-identical to the
-    // uninterrupted run (same block partition: resume lands on a block
-    // boundary and uses the same block size).
     let mid = checkpoints[2].clone();
     for (resumer, label) in [(5usize, "executor"), (0, "sequential")] {
         let cfg_resume = EngineConfig {
             workers: resumer.max(1),
-            block_size: Some(32),
+            block_size,
             ..EngineConfig::default()
         };
         let opts = CampaignOptions {
@@ -159,17 +104,30 @@ fn checkpoint_resume_reproduces_the_uninterrupted_run_bitwise() {
             on_checkpoint: None,
         };
         let resumed = if resumer == 0 {
-            run_sequential_with(&campaign, &cfg_resume, opts)
+            run_sequential_with(campaign, &cfg_resume, opts)
         } else {
             run_campaign_with(campaign.clone(), &cfg_resume, opts)
         };
         assert_eq!(resumed.acc, full.acc, "resume drifted on {label} path");
         assert_eq!(
             resumed.report.completed,
-            640 - mid.trials_done,
+            trials - mid.trials_done,
             "resume re-ran the folded prefix on {label} path"
         );
     }
+}
+
+#[test]
+fn checkpoint_resume_reproduces_the_uninterrupted_run_bitwise() {
+    assert_resume_is_bitwise(&ToyCampaign::new(0xC0FFEE, 640), Some(32), 100);
+}
+
+#[test]
+fn resume_under_auto_block_size_reproduces_the_uninterrupted_run_bitwise() {
+    // The resumed run must size its blocks from the campaign's trial
+    // count, not from the remaining suffix, or the float moments fold
+    // in a different order.
+    assert_resume_is_bitwise(&ToyCampaign::new(0xD121F7, 5000), None, 1000);
 }
 
 #[test]

@@ -1,17 +1,18 @@
-//! Fault-injecting the campaign engine itself: panicking trials,
-//! deadline-blown trials, and workers killed mid-campaign. In every
-//! case the campaign must complete, label the outcome with a
-//! reproducer triple, and leave the surviving-trial accumulator
-//! bit-identical to a clean run over the surviving trials.
+//! Fault-injecting the campaign engine itself: panicking trials and
+//! deadline-blown trials. In every case the campaign must complete,
+//! label the outcome with a reproducer triple, and leave the
+//! surviving-trial accumulator bit-identical to a clean run over the
+//! surviving trials.
 
 mod common;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use common::{Fault, ToyCampaign};
-use nlft_engine::{run_campaign, run_sequential, ChaosKill, EngineConfig};
+use nlft_engine::{
+    indexed_campaign, run_campaign, run_campaign_with, run_sequential, CampaignOptions,
+    EngineConfig,
+};
 
 const TRIALS: u64 = 300;
 const SEED: u64 = 0xFA_17;
@@ -78,6 +79,8 @@ fn panicking_trial_is_isolated_on_the_sequential_path_too() {
 
 #[test]
 fn deadline_blown_trial_is_cancelled_and_quarantined() {
+    // The trial polls its own budget, so it gives up and is quarantined
+    // alike on both paths.
     let faulty = 42u64;
     let campaign = ToyCampaign::new(SEED, TRIALS).with_fault(Fault::SpinUntilCancelled(faulty));
     let expected = surviving_acc(&campaign);
@@ -86,95 +89,60 @@ fn deadline_blown_trial_is_cancelled_and_quarantined() {
         trial_budget: Some(Duration::from_millis(40)),
         ..EngineConfig::default()
     };
-    let run = run_campaign(campaign, &cfg);
-    assert_eq!(run.report.completed, TRIALS - 1);
-    assert_eq!(run.report.timed_out.len(), 1);
-    let rep = &run.report.timed_out[0];
-    assert_eq!(rep.trial, faulty);
-    assert_eq!(
-        (rep.campaign.as_str(), rep.rng_label.as_str()),
-        ("toy-campaign", "toy-trial")
-    );
-    assert!(rep.detail.contains("budget"), "{}", rep.detail);
-    assert_eq!(
-        run.report.lost_workers, 0,
-        "cooperative cancel must not cost a worker"
-    );
-    assert_eq!(run.acc, expected);
+    for (label, run) in [
+        ("sequential", run_sequential(&campaign, &cfg)),
+        ("threaded", run_campaign(campaign.clone(), &cfg)),
+    ] {
+        assert_eq!(run.report.completed, TRIALS - 1, "{label}");
+        assert_eq!(run.report.timed_out.len(), 1, "{label}");
+        let rep = &run.report.timed_out[0];
+        assert_eq!(rep.trial, faulty, "{label}");
+        assert_eq!(
+            (rep.campaign.as_str(), rep.rng_label.as_str()),
+            ("toy-campaign", "toy-trial")
+        );
+        assert!(rep.detail.contains("budget"), "{label}: {}", rep.detail);
+        assert_eq!(run.acc, expected, "{label}");
+    }
 }
 
 #[test]
-fn stuck_trial_costs_its_worker_but_not_the_campaign() {
-    let faulty = 99u64;
-    let latch = Arc::new(AtomicBool::new(false));
-    let campaign =
-        ToyCampaign::new(SEED, TRIALS).with_fault(Fault::StickOnLatch(faulty, Arc::clone(&latch)));
-    let expected = surviving_acc(&campaign);
-    let cfg = EngineConfig {
-        workers: 2,
-        trial_budget: Some(Duration::from_millis(20)),
-        lost_worker_grace: Duration::from_millis(40),
-        ..EngineConfig::default()
-    };
-    let run = run_campaign(campaign, &cfg);
-    // Let the abandoned worker thread exit before the test ends.
-    latch.store(true, Ordering::Relaxed);
-    assert_eq!(
-        run.report.lost_workers, 1,
-        "stuck worker must be declared lost"
+fn panic_outside_a_trial_reaches_the_caller_instead_of_hanging() {
+    // A campaign's merge and the checkpoint callback run outside any
+    // trial's catch_unwind. Their panic must stop every other thread and
+    // reach the caller, whether a worker or the folding thread raised it.
+    let bad_merge = indexed_campaign(
+        "bad-merge",
+        "unused",
+        TRIALS,
+        || 0u64,
+        |trial, _ctx, acc: &mut u64| *acc += trial,
+        |into: &mut u64, from| {
+            assert_ne!(from, 150, "injected merge panic");
+            *into += from;
+        },
     );
-    assert_eq!(run.report.completed, TRIALS - 1);
-    assert_eq!(run.report.timed_out.len(), 1);
-    let rep = &run.report.timed_out[0];
-    assert_eq!(rep.trial, faulty);
-    assert!(rep.detail.contains("lost"), "{}", rep.detail);
-    assert!(
-        run.report.skipped >= 1,
-        "quarantined trial must be skipped on re-execution"
-    );
-    assert_eq!(
-        run.acc, expected,
-        "survivors must re-execute the rescued block bit-identically"
-    );
-}
-
-#[test]
-fn chaos_killed_worker_degrades_gracefully() {
-    let campaign = ToyCampaign::new(SEED, TRIALS);
-    let clean = run_sequential(&campaign, &EngineConfig::default());
     let cfg = EngineConfig {
         workers: 3,
-        chaos_kill: Some(ChaosKill {
-            worker: 1,
-            after_trials: 25,
-        }),
+        block_size: Some(1),
+        checkpoint_every: 1,
         ..EngineConfig::default()
     };
-    let run = run_campaign(campaign, &cfg);
-    assert_eq!(run.report.lost_workers, 1);
-    assert_eq!(
-        run.acc, clean.acc,
-        "worker death must be invisible in the campaign result"
-    );
-}
-
-#[test]
-fn last_worker_death_respawns_a_replacement() {
-    let campaign = ToyCampaign::new(SEED, TRIALS);
-    let clean = run_sequential(&campaign, &EngineConfig::default());
-    let cfg = EngineConfig {
-        workers: 1,
-        chaos_kill: Some(ChaosKill {
-            worker: 0,
-            after_trials: 10,
-        }),
-        ..EngineConfig::default()
-    };
-    let run = run_campaign(campaign, &cfg);
-    assert_eq!(run.report.lost_workers, 1);
+    let worker_side =
+        with_quiet_panics(|| std::panic::catch_unwind(|| run_campaign(bad_merge, &cfg)).is_err());
+    assert!(worker_side, "a worker's panic must reach the caller");
+    let folder_side = with_quiet_panics(|| {
+        std::panic::catch_unwind(|| {
+            let opts = CampaignOptions {
+                resume: None,
+                on_checkpoint: Some(&|_, _: &common::ToyAcc| panic!("injected checkpoint panic")),
+            };
+            run_campaign_with(ToyCampaign::new(SEED, TRIALS), &cfg, opts)
+        })
+        .is_err()
+    });
     assert!(
-        run.report.respawned_workers >= 1,
-        "with every worker dead the watchdog must spawn a replacement"
+        folder_side,
+        "the folding thread's panic must reach the caller"
     );
-    assert_eq!(run.acc, clean.acc);
 }

@@ -30,6 +30,13 @@ for ex in examples/*.rs; do
     cargo run --release --offline --example "$name" -- 50 >/dev/null
 done
 
+# Engine resume at a size where the automatic block size matters: the
+# example asserts that a run resumed from a mid-run checkpoint is
+# bit-identical to the uninterrupted one (the smoke run above at 50
+# trials clamps every block to one trial and cannot catch a drift).
+echo "== example: engine_fleet resume at 5000 trials =="
+cargo run --release --offline --example engine_fleet -- 5000 >/dev/null
+
 # Scenario zoo: every declarative campaign under scenarios/ must run
 # bit-identically at 1, 2 and 5 threads, match its golden pin, and
 # satisfy its acceptance clause. Any drift fails hard.
@@ -37,10 +44,10 @@ echo "== scenario zoo: golden pins at 1/2/5 threads =="
 cargo run --release --offline -p nlft-bench --bin scenario_run -- verify
 
 # Engine differential gate: one zoo scenario re-run through the
-# work-stealing executor (forced even at one worker) must reproduce the
-# same golden pin as the sequential reference above — `run` re-checks
-# the pin via the acceptance clause. Also exercises watchdog arming and
-# a checkpoint/resume round trip through the CLI flags.
+# threaded executor (at four workers, then forced at one) must reproduce
+# the same golden pin as the sequential reference above — `run`
+# re-checks the pin via the acceptance clause. Also exercises a per-trial
+# budget and a checkpoint/resume round trip through the CLI flags.
 echo "== scenario zoo: engine path vs legacy pin =="
 ckpt="$(mktemp)"
 trap 'rm -f "$ckpt"' EXIT

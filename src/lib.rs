@@ -22,9 +22,9 @@
 //!   membership, duplex replication, state resynchronisation.
 //! * [`core`] — the NLFT framework proper: node policies and
 //!   fault-injection campaigns estimating `C_D`, `P_T`, `P_OM`, `P_FS`.
-//! * [`engine`] — the fleet-scale campaign engine: a work-stealing trial
-//!   executor with panic isolation, trial watchdogs, streaming statistics
-//!   and checkpoint/resume, deterministic at any worker count.
+//! * [`engine`] — the fleet-scale campaign engine: a self-scheduling
+//!   trial executor with panic isolation, trial budgets, streaming
+//!   statistics and checkpoint/resume, deterministic at any worker count.
 //! * [`reliability`] — SHARPE-style analysis: Markov chains, reliability
 //!   block diagrams, BDD fault trees, hierarchical composition.
 //! * [`bbw`] — the brake-by-wire case study: the paper's analytic models
