@@ -21,9 +21,7 @@ use nlft_net::frame::NodeId;
 use nlft_net::inject::{BlackoutSpec, NetFaultPlan};
 use nlft_sim::rng::RngStream;
 
-use crate::cluster::{BbwCluster, CU_A, CU_B, WHEELS};
-
-const ALL_NODES: [NodeId; 6] = [CU_A, CU_B, WHEELS[0], WHEELS[1], WHEELS[2], WHEELS[3]];
+use crate::cluster::{BbwCluster, ALL_NODES, WHEELS};
 
 /// Configuration of a blackout-survival campaign.
 #[derive(Debug, Clone)]
@@ -302,6 +300,7 @@ fn run_blackout_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::{CU_A, CU_B};
     use nlft_core::diagnosis::AlphaCountConfig;
     use nlft_kernel::escalation::{EscalationEvent, EscalationPolicy};
     use nlft_machine::fault::{FaultTarget, IntermittentFault, TransientFault};

@@ -36,7 +36,6 @@
 //! out on the remaining core, a lock-based substrate wedges and the node
 //! drops fail-silent for good.
 
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use nlft_core::diagnosis::{AlphaCountConfig, NodeSupervisor};
@@ -230,6 +229,92 @@ impl ClusterReport {
     }
 }
 
+/// All six nodes in slot order — the two central-unit replicas, then the
+/// four wheels. The cluster's node tables are indexed in this order.
+pub(crate) const ALL_NODES: [NodeId; 6] = [CU_A, CU_B, WHEELS[0], WHEELS[1], WHEELS[2], WHEELS[3]];
+
+/// Table index of the first wheel in [`ALL_NODES`].
+const FIRST_WHEEL: usize = 2;
+
+/// Most output words a station's job delivers (the distribution task's
+/// four per-wheel forces).
+const JOB_OUTPUTS: usize = 4;
+
+/// The index of `node` in the node tables, if it is one of the six.
+fn node_index(node: NodeId) -> Option<usize> {
+    ALL_NODES.iter().position(|&n| n == node)
+}
+
+/// What one [`BbwCluster::step`] observed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CycleOutcome {
+    /// The cycle's record, as [`ClusterReport::records`] keeps it.
+    pub record: CycleRecord,
+    /// Member nodes that missed their slot this cycle.
+    pub omissions: u32,
+    /// Whether braking service was lost this cycle (no central unit in the
+    /// membership, or fewer than three wheels serving).
+    pub service_lost: bool,
+}
+
+/// What the current [`BbwCluster::run`] has accumulated so far: the
+/// report's fields that are not per-cycle records or bus-counter deltas.
+#[derive(Debug, Default)]
+struct RunTally {
+    degraded_cycles: u32,
+    omissions: u32,
+    service_lost: bool,
+    split_membership: bool,
+    min_members: usize,
+    reintegration_latencies: Vec<u32>,
+    escalations: Vec<(u32, NodeId, EscalationEvent)>,
+    restarts: u32,
+    retired_nodes: Vec<NodeId>,
+    startup_events: Vec<(u32, StartupEvent)>,
+    value: ValueDomainReport,
+    wheel_contract_misses: [u32; 4],
+    wheel_contract_violations: [u32; 4],
+    core_deaths: Vec<(u32, NodeId, bool)>,
+}
+
+impl RunTally {
+    /// Records the escalation-ladder transitions of `node` in `cycle`.
+    fn escalate(&mut self, cycle: u32, node: NodeId, events: Vec<EscalationEvent>) {
+        for event in events {
+            if matches!(event, EscalationEvent::RestartScheduled { .. }) {
+                self.restarts += 1;
+            }
+            if event == EscalationEvent::Retired && !self.retired_nodes.contains(&node) {
+                self.retired_nodes.push(node);
+            }
+            self.escalations.push((cycle, node, event));
+        }
+    }
+}
+
+/// The buffers a cycle works in and the tallies a run accumulates. The
+/// cluster owns one, and every buffer in it is sized by the static
+/// schedule (six slots, one sealed command), so once the first cycles
+/// have grown them a clean cycle allocates nothing.
+#[derive(Debug, Default)]
+struct CycleScratch {
+    /// Nodes the network storm holds down this cycle, in slot order.
+    net_silenced: Vec<NodeId>,
+    /// The sealed command a central unit sends this cycle,
+    /// `[seq, f0..f3, crc]`; empty when it sends none. It is also the
+    /// state the unit serves a resyncing partner.
+    command: Vec<u32>,
+    /// A wheel's own copy of the command, made only when a wheel-local
+    /// fault replays or corrupts it.
+    presented: Vec<u32>,
+    /// This cycle's delivery and the previous cycle's. They swap at the
+    /// end of every cycle, so the bus recycles their frame buffers.
+    delivery: CycleDelivery,
+    prev_delivery: CycleDelivery,
+    /// The current run's tallies.
+    tally: RunTally,
+}
+
 /// A node-local intermittent fault: the recurring transient, the job
 /// slots elapsed since onset, and a dedicated stream for its recurrence
 /// and placement draws.
@@ -293,6 +378,10 @@ impl StationPrograms {
 
 impl StationRuntime {
     fn new(workload: Workload, clean_cycles: u64) -> Self {
+        assert!(
+            workload.output_ports.len() <= JOB_OUTPUTS,
+            "a station job delivers at most {JOB_OUTPUTS} outputs"
+        );
         let machine = workload.instantiate();
         StationRuntime {
             workload,
@@ -371,11 +460,13 @@ impl StationRuntime {
         plan.map(JobFault::Transient)
     }
 
+    /// Runs one TEM job. A delivered result comes back as the workload's
+    /// output ports in order, in the first slots of a fixed array.
     fn run_job(
         &mut self,
         inputs: &[u32],
         plan: Option<InjectionPlan>,
-    ) -> (Option<Vec<u32>>, Vec<EscalationEvent>) {
+    ) -> (Option<[u32; JOB_OUTPUTS]>, Vec<EscalationEvent>) {
         if self.silent_for > 0 {
             self.silent_for -= 1;
             return (None, Vec::new());
@@ -400,19 +491,13 @@ impl StationRuntime {
             Some(sup) => sup.observe_job(errored),
             None => Vec::new(),
         };
-        let outputs = match report.outcome {
-            JobOutcome::DeliveredClean | JobOutcome::DeliveredMasked { .. } => {
-                let outputs = report.outputs.expect("delivered");
-                Some(
-                    self.workload
-                        .output_ports
-                        .iter()
-                        .map(|&p| outputs[p].unwrap_or(0))
-                        .collect(),
-                )
+        let outputs = report.outputs.map(|ports| {
+            let mut outputs = [0; JOB_OUTPUTS];
+            for (out, &p) in outputs.iter_mut().zip(&self.workload.output_ports) {
+                *out = ports[p].unwrap_or(0);
             }
-            JobOutcome::Omission { .. } => None,
-        };
+            outputs
+        });
         (outputs, events)
     }
 }
@@ -422,8 +507,8 @@ pub struct BbwCluster {
     bus: Bus,
     membership: Membership,
     cu_pair: DuplexPair,
-    cu: BTreeMap<NodeId, StationRuntime>,
-    wheels: BTreeMap<NodeId, StationRuntime>,
+    /// The six stations, indexed in [`ALL_NODES`] order.
+    stations: [StationRuntime; 6],
     injections: Vec<ClusterInjection>,
     wire_corruptions: Vec<(u32, NodeId)>,
     /// Network-level fault injector, when a storm is attached.
@@ -432,15 +517,14 @@ pub struct BbwCluster {
     /// keeps the pre-startup behaviour: returning nodes simply resume
     /// transmitting in their slot.
     startup: Option<StartupProtocol>,
-    /// Per-CU state-resync endpoints, driven when a replica returns from an
-    /// outage.
-    cu_resync: BTreeMap<NodeId, StateResync>,
+    /// Per-CU state-resync endpoints (`CU_A`, `CU_B`), driven when a
+    /// replica returns from an outage.
+    cu_resync: [StateResync; 2],
     /// Whether each CU was silent (enforced or net-crashed) last cycle.
-    cu_silent_last: BTreeMap<NodeId, bool>,
-    /// Last delivery, fed into the resync endpoints next cycle.
-    prev_delivery: Option<CycleDelivery>,
-    /// First cycle of each node's current exclusion episode.
-    exclusion_started: BTreeMap<NodeId, u32>,
+    cu_silent_last: [bool; 2],
+    /// First cycle of each node's current exclusion episode, in [`ALL_NODES`]
+    /// order.
+    exclusion_started: [Option<u32>; 6],
     /// Triplicated pedal sensor array feeding both CU replicas.
     pedal_sensors: PedalSensorArray,
     /// Per-wheel brake actuators (persist across `run` calls — the brake
@@ -478,6 +562,8 @@ pub struct BbwCluster {
     wheel_violated: [bool; 4],
     /// Scheduled core-death faults: `(cycle, node, escalated)`.
     core_deaths: Vec<(u32, NodeId, bool)>,
+    /// Per-cycle buffers and per-run tallies.
+    scratch: CycleScratch,
 }
 
 impl BbwCluster {
@@ -493,26 +579,23 @@ impl BbwCluster {
     /// unless noise-burst faults are attached).
     pub fn with_rng(sensor_rng: RngStream) -> Self {
         let config = BusConfig::round_robin(6, 4);
+        debug_assert_eq!(
+            config.static_slots, ALL_NODES,
+            "node tables follow slot order"
+        );
         let bus = Bus::new(config.clone());
         // Exclusion after 2 silent cycles, reintegration after 2 good ones —
         // scaled-down versions of the paper's 1.6 s / 3 s windows.
         let membership = Membership::new(&config, 2, 2);
 
         let programs = StationPrograms::get();
-        let mut cu = BTreeMap::new();
-        for id in [CU_A, CU_B] {
-            cu.insert(
-                id,
-                StationRuntime::new(programs.dist.clone(), programs.dist_cycles),
-            );
-        }
-        let mut wheels = BTreeMap::new();
-        for id in WHEELS {
-            wheels.insert(
-                id,
-                StationRuntime::new(programs.pid.clone(), programs.pid_cycles),
-            );
-        }
+        let stations = std::array::from_fn(|i| {
+            if i < FIRST_WHEEL {
+                StationRuntime::new(programs.dist.clone(), programs.dist_cycles)
+            } else {
+                StationRuntime::new(programs.pid.clone(), programs.pid_cycles)
+            }
+        });
         let cu_pair = DuplexPair::new(CU_A, CU_B);
         // The front axle carries most of the braking load, so its service
         // contracts are tighter: at most 1 missed cycle in any 8, against
@@ -527,19 +610,14 @@ impl BbwCluster {
             bus,
             membership,
             cu_pair,
-            cu,
-            wheels,
+            stations,
             injections: Vec::new(),
             wire_corruptions: Vec::new(),
             net_injector: None,
             startup: None,
-            cu_resync: [CU_A, CU_B]
-                .into_iter()
-                .map(|id| (id, StateResync::new(id, cu_pair)))
-                .collect(),
-            cu_silent_last: [CU_A, CU_B].into_iter().map(|id| (id, false)).collect(),
-            prev_delivery: None,
-            exclusion_started: BTreeMap::new(),
+            cu_resync: [CU_A, CU_B].map(|id| StateResync::new(id, cu_pair)),
+            cu_silent_last: [false; 2],
+            exclusion_started: [None; 6],
             pedal_sensors: PedalSensorArray::new(PedalVoterConfig::default(), sensor_rng),
             actuators: std::array::from_fn(|_| WheelActuator::new()),
             monitors: std::array::from_fn(|_| {
@@ -558,6 +636,7 @@ impl BbwCluster {
             wheel_contracts,
             wheel_violated: [false; 4],
             core_deaths: Vec::new(),
+            scratch: CycleScratch::default(),
         }
     }
 
@@ -675,9 +754,7 @@ impl BbwCluster {
     }
 
     fn station_mut(&mut self, node: NodeId) -> Option<&mut StationRuntime> {
-        self.cu
-            .get_mut(&node)
-            .or_else(|| self.wheels.get_mut(&node))
+        node_index(node).map(|i| &mut self.stations[i])
     }
 
     /// Replaces the per-wheel (m,k) service contracts (index order:
@@ -766,7 +843,7 @@ impl BbwCluster {
 
     /// Supervises all six nodes with the same configuration.
     pub fn supervise_all(&mut self, alpha: AlphaCountConfig, policy: EscalationPolicy) {
-        for id in [CU_A, CU_B].iter().chain(WHEELS.iter()).copied() {
+        for id in ALL_NODES {
             self.supervise(id, alpha, policy);
         }
     }
@@ -797,10 +874,8 @@ impl BbwCluster {
     /// The ladder position of a supervised node (`None` when the node is
     /// not supervised).
     pub fn node_health(&self, node: NodeId) -> Option<NodeHealth> {
-        self.cu
-            .get(&node)
-            .or_else(|| self.wheels.get(&node))
-            .and_then(|s| s.supervisor.as_ref())
+        node_index(node)
+            .and_then(|i| self.stations[i].supervisor.as_ref())
             .map(|sup| sup.health())
     }
 
@@ -812,497 +887,539 @@ impl BbwCluster {
     /// actuator state persist, so a storm phase can be followed by a
     /// quiet phase on the same cluster.
     pub fn run(&mut self, cycles: u32, pedal: impl Fn(u32) -> u32) -> ClusterReport {
-        let mut records = Vec::with_capacity(cycles as usize);
-        let mut value = ValueDomainReport::default();
         let undetected_sensor_base = self.pedal_sensors.stats().undetected_error_cycles;
-        let mon_cfg = ActuatorMonitorConfig::default();
-        let mut degraded_cycles = 0;
-        let mut omissions = 0;
-        let mut service_lost = false;
-        let mut split_membership = false;
-        let mut min_members = self.membership.members().len();
-        let mut reintegration_latencies = Vec::new();
-        let mut escalations: Vec<(u32, NodeId, EscalationEvent)> = Vec::new();
-        let mut restarts = 0;
-        let mut retired_nodes: Vec<NodeId> = Vec::new();
-        let mut startup_events: Vec<(u32, StartupEvent)> = Vec::new();
-        let mut wheel_contract_misses = [0u32; 4];
-        let mut wheel_contract_violations = [0u32; 4];
-        let mut core_death_records: Vec<(u32, NodeId, bool)> = Vec::new();
         let crc_rejects_0 = self.bus.crc_rejects();
         let guardian_blocks_0 = self.bus.guardian_blocks();
         let masquerade_rejects_0 = self.bus.masquerade_rejects();
         let corruptions_applied_0 = self.bus.corruptions_applied();
         let masquerades_applied_0 = self.bus.masquerades_applied();
-        for cycle in 0..cycles {
-            self.bus.start_cycle();
+        self.scratch.tally = RunTally {
+            min_members: self.membership.member_count(),
+            ..RunTally::default()
+        };
+        let records = (0..cycles)
+            .map(|cycle| self.step(pedal(cycle)).record)
+            .collect();
+        let tally = std::mem::take(&mut self.scratch.tally);
+        ClusterReport {
+            records,
+            degraded_cycles: tally.degraded_cycles,
+            omissions: tally.omissions,
+            service_lost: tally.service_lost,
+            split_membership: tally.split_membership,
+            min_members: tally.min_members,
+            reintegration_latencies: tally.reintegration_latencies,
+            crc_rejects: self.bus.crc_rejects() - crc_rejects_0,
+            guardian_blocks: self.bus.guardian_blocks() - guardian_blocks_0,
+            masquerade_rejects: self.bus.masquerade_rejects() - masquerade_rejects_0,
+            corruptions_applied: self.bus.corruptions_applied() - corruptions_applied_0,
+            masquerades_applied: self.bus.masquerades_applied() - masquerades_applied_0,
+            escalations: tally.escalations,
+            restarts: tally.restarts,
+            retired_nodes: tally.retired_nodes,
+            startup_events: tally.startup_events,
+            value: ValueDomainReport {
+                undetected_sensor_cycles: self.pedal_sensors.stats().undetected_error_cycles
+                    - undetected_sensor_base,
+                ..tally.value
+            },
+            wheel_contracts: self.wheel_contracts,
+            wheel_contract_misses: tally.wheel_contract_misses,
+            wheel_contract_violations: tally.wheel_contract_violations,
+            core_deaths: tally.core_deaths,
+        }
+    }
 
-            // Network storm first: decide this cycle's wire faults and
-            // which nodes are held down by crash/clock outages.
-            let net_silenced: Vec<NodeId> = match self.net_injector.as_mut() {
-                Some(inj) => inj.perturb_cycle(&mut self.bus),
-                None => Vec::new(),
-            };
-            let bus_cycle = self.bus.cycle();
+    /// Runs one communication cycle with the *true* pedal position
+    /// `pedal`; [`BbwCluster::run`] is a loop over this. Escalations,
+    /// value-domain counters and the other run tallies accumulate in the
+    /// cluster until the next `run` starts. Once the cluster is warm, a
+    /// clean cycle makes no heap allocation.
+    pub fn step(&mut self, pedal: u32) -> CycleOutcome {
+        let bus_cycle = self.resets_and_core_deaths();
+        let pedal_now = self.cu_jobs(bus_cycle, pedal);
+        self.wheel_jobs(bus_cycle);
+        self.integration_gate(bus_cycle);
+        let omissions = self.close_bus(bus_cycle);
+        let events = self.startup_and_membership(bus_cycle);
+        let cu_single = self.command_acceptance(bus_cycle);
+        let outcome = self.service_tallies(bus_cycle, pedal_now, cu_single, events, omissions);
+        // This cycle's delivery feeds the resync endpoints next cycle; the
+        // older one hands its frame buffers back to the bus.
+        std::mem::swap(&mut self.scratch.delivery, &mut self.scratch.prev_delivery);
+        outcome
+    }
 
-            // Blackout resets decided this cycle: the victims lose their
-            // volatile state (processor, acceptor window, held set-point)
-            // and, when the startup protocol is on, re-enter service
-            // through Listen / cold-start contention.
-            let resets: Vec<(NodeId, u32)> = self
-                .net_injector
-                .as_ref()
-                .map(|inj| inj.resets_this_cycle().to_vec())
-                .unwrap_or_default();
-            for &(node, down) in &resets {
-                if let Some(st) = self.startup.as_mut() {
-                    st.reset_node(node, down, bus_cycle);
-                }
-                if let Some(station) = self.station_mut(node) {
-                    station.reboot();
-                }
-                if let Some(w) = WHEELS.iter().position(|&id| id == node) {
-                    self.acceptors[w] = CommandAcceptor::new(COMMAND_MAX_AGE);
-                    self.last_command_words[w] = None;
-                    self.setpoints[w] = None;
-                    self.last_good[w] = None;
-                    self.hold_left[w] = 0;
-                }
+    /// Opens the bus cycle and applies what strikes before any node runs:
+    /// the network storm, blackout resets and core deaths. Returns the
+    /// bus cycle.
+    fn resets_and_core_deaths(&mut self) -> u32 {
+        self.bus.start_cycle();
+        // Network storm first: decide this cycle's wire faults and which
+        // nodes are held down by crash/clock outages.
+        self.scratch.net_silenced.clear();
+        if let Some(inj) = self.net_injector.as_mut() {
+            inj.perturb_cycle_into(&mut self.bus, &mut self.scratch.net_silenced);
+        }
+        let bus_cycle = self.bus.cycle();
+
+        // Blackout resets decided this cycle: the victims lose their
+        // volatile state (processor, acceptor window, held set-point)
+        // and, when the startup protocol is on, re-enter service through
+        // Listen / cold-start contention.
+        let resets = self
+            .net_injector
+            .as_ref()
+            .map_or(&[][..], |inj| inj.resets_this_cycle());
+        for &(node, down) in resets {
+            if let Some(st) = self.startup.as_mut() {
+                st.reset_node(node, down, bus_cycle);
             }
+            let Some(i) = node_index(node) else {
+                continue;
+            };
+            self.stations[i].reboot();
+            if let Some(w) = i.checked_sub(FIRST_WHEEL) {
+                self.acceptors[w] = CommandAcceptor::new(COMMAND_MAX_AGE);
+                self.last_command_words[w] = None;
+                self.setpoints[w] = None;
+                self.last_good[w] = None;
+                self.hold_left[w] = 0;
+            }
+        }
 
-            // Core-death faults scheduled for this cycle, fired before
-            // the nodes execute: a dual-core node survives iff the
-            // deterministic replay of its substrate stays clean under its
-            // resource protocol; anything else drops fail-silent for good.
-            let deaths_now: Vec<(NodeId, bool)> = self
-                .core_deaths
-                .iter()
-                .filter(|&&(c, _, _)| c == bus_cycle)
-                .map(|&(_, n, e)| (n, e))
-                .collect();
-            for (node, escalated) in deaths_now {
+        // Core-death faults scheduled for this cycle, fired before the
+        // nodes execute: a dual-core node survives iff the deterministic
+        // replay of its substrate stays clean under its resource
+        // protocol; anything else drops fail-silent for good.
+        for k in 0..self.core_deaths.len() {
+            let (cycle, node, escalated) = self.core_deaths[k];
+            if cycle == bus_cycle {
                 let survived = self.fire_core_death(node, escalated);
-                core_death_records.push((bus_cycle, node, survived));
+                self.scratch
+                    .tally
+                    .core_deaths
+                    .push((bus_cycle, node, survived));
             }
+        }
+        bus_cycle
+    }
 
-            // Read the pedal through the triplicated sensor array: the
-            // voter masks channel faults, clamps out-of-range readings at
-            // the boundary and demotes persistently implausible channels.
-            let pedal_sample = self.pedal_sensors.sample(bus_cycle, pedal(cycle));
-            let pedal_now = pedal_sample.voted;
-            if pedal_sample.clamped {
-                value.pedal_clamped_cycles += 1;
-            }
-            value.sensor_implausible_flags +=
-                pedal_sample.implausible.iter().filter(|&&f| f).count() as u32;
-            if pedal_sample.demoted_now.is_some() {
-                value.sensor_demotions += 1;
-            }
+    /// What `node` may transmit this cycle under the startup protocol.
+    fn intent(&self, node: NodeId) -> TransmitIntent {
+        self.startup
+            .as_ref()
+            .map_or(TransmitIntent::Normal, |s| s.intent(node))
+    }
 
-            // Central units: compute the 4-way force distribution under TEM.
-            for (&id, station) in self.cu.iter_mut() {
-                let plan = plan_for(&self.injections, bus_cycle, id);
-                if self.wire_corruptions.contains(&(bus_cycle, id)) {
-                    let slot = self.bus.config().slot_of(id).expect("CU owns a slot");
-                    self.bus.stage_wire_fault(WireFault::CorruptStatic {
-                        slot,
-                        byte: 7,
-                        mask: 0x40,
-                    });
-                }
-                let net_down = net_silenced.contains(&id);
-                let intent = self
-                    .startup
-                    .as_ref()
-                    .map(|s| s.intent(id))
-                    .unwrap_or(TransmitIntent::Normal);
-                let was_silent = self.cu_silent_last[&id];
-                let silent_now = net_down
-                    || intent != TransmitIntent::Normal
-                    || station.silent_for > 0
-                    || station.supervised_silent();
-                let resync = self.cu_resync.get_mut(&id).expect("CU endpoint");
-                if was_silent && !silent_now {
-                    // The replica returns: it resumes transmitting at once
-                    // (the distribution task is stateless) while refreshing
-                    // soft state from its partner over the dynamic segment.
-                    resync.begin_resync();
-                }
-                self.cu_silent_last.insert(id, silent_now);
-                let mut our_state: Vec<u32> = Vec::new();
-                if net_down || intent == TransmitIntent::Silent {
-                    // Held down by the network outage, or still listening
-                    // for a time base: the node does not execute, but its
-                    // supervisor's restart clock still runs.
-                    for ev in station.tick_supervisor() {
-                        record_escalation(
-                            &mut escalations,
-                            &mut restarts,
-                            &mut retired_nodes,
-                            bus_cycle,
-                            id,
-                            ev,
-                        );
-                    }
-                } else if intent == TransmitIntent::ColdStartFrame {
-                    // Cold-start contention: the only frame this node may
-                    // send is the marker offering its own time base.
-                    let _ = self
-                        .bus
-                        .transmit_static(id, vec![COLD_START_MARKER, bus_cycle]);
-                } else {
-                    let (result, events) = station.run_job(&[pedal_now], plan);
-                    for ev in events {
-                        record_escalation(
-                            &mut escalations,
-                            &mut restarts,
-                            &mut retired_nodes,
-                            bus_cycle,
-                            id,
-                            ev,
-                        );
-                    }
-                    if let Some(outputs) = result {
-                        // Degraded-mode redistribution: scale the shares of the
-                        // serving wheels when some are out of the membership.
-                        let serving = |w: &usize| self.membership.is_member(WHEELS[*w]);
-                        let scale_den = (0..4).filter(serving).count() as u32;
-                        let mut payload = vec![0u32; 4];
-                        // With no wheel serving, nothing is divided.
-                        for w in (0..4).filter(serving) {
-                            payload[w] = outputs[w] * 4 / scale_den;
-                        }
-                        // Seal the set-points with a sequence number and
-                        // CRC: the wheel-side acceptor can then reject
-                        // corrupted, stale or replayed commands even when
-                        // the corruption happens past the bus CRC.
-                        let words = FreshSealedMessage::seal(bus_cycle, payload).to_words();
-                        our_state = words.clone();
-                        let _ = self.bus.transmit_static(id, words);
-                    }
-                }
-                if !silent_now {
-                    resync.tick(&mut self.bus);
-                    if let Some(prev) = &self.prev_delivery {
-                        let _ = resync.process_cycle(&mut self.bus, prev, &our_state);
-                    }
-                }
-            }
+    /// The rule every node passes before its job. A node held down by a
+    /// network outage, or kept silent by the startup protocol (listening
+    /// for a time base, or reverted by clique avoidance), does not
+    /// execute, but its supervisor's restart clock still runs: wall time
+    /// passes whether or not the node executes. A cold-start contender
+    /// sends only the marker frame offering its own time base. Returns
+    /// whether the node may run its job.
+    fn may_run(&mut self, node: usize, bus_cycle: u32) -> bool {
+        let id = ALL_NODES[node];
+        let intent = self.intent(id);
+        if self.scratch.net_silenced.contains(&id) || intent == TransmitIntent::Silent {
+            let events = self.stations[node].tick_supervisor();
+            self.scratch.tally.escalate(bus_cycle, id, events);
+            return false;
+        }
+        if intent == TransmitIntent::ColdStartFrame {
+            let _ = self
+                .bus
+                .transmit_static_slice(id, &[COLD_START_MARKER, bus_cycle]);
+            return false;
+        }
+        true
+    }
 
-            // Wheel nodes: run PID on last cycle's set-point.
-            for (w, &id) in WHEELS.iter().enumerate() {
-                if self.actuator_failed[w] {
-                    // Failed-safe actuator: the brake releases and the
-                    // node stays fail-silent, so membership keeps it
-                    // excluded and the CU redistributes its share.
-                    self.actuators[w].apply(bus_cycle, 0);
-                    continue;
-                }
-                let station = self.wheels.get_mut(&id).expect("wheel exists");
-                if net_silenced.contains(&id) {
-                    // Crashed / clock-lost: the node does not execute.
-                    continue;
-                }
-                match self
-                    .startup
-                    .as_ref()
-                    .map(|s| s.intent(id))
-                    .unwrap_or(TransmitIntent::Normal)
-                {
-                    TransmitIntent::Silent => {
-                        // Listening for a time base, or reverted by clique
-                        // avoidance: fail-silent by construction.
-                        continue;
-                    }
-                    TransmitIntent::ColdStartFrame => {
-                        let _ = self
-                            .bus
-                            .transmit_static(id, vec![COLD_START_MARKER, bus_cycle]);
-                        continue;
-                    }
-                    TransmitIntent::Normal => {}
-                }
-                if station.supervised_silent() {
-                    // The escalation ladder holds this wheel down (silent,
-                    // restarting or retired): advance its restart clock.
-                    for ev in station.tick_supervisor() {
-                        record_escalation(
-                            &mut escalations,
-                            &mut restarts,
-                            &mut retired_nodes,
-                            bus_cycle,
-                            id,
-                            ev,
-                        );
-                    }
-                    continue;
-                }
-                let Some(sp) = self.setpoints[w] else {
-                    // No set-point yet (first cycle, CU silent beyond the
-                    // hold window, or persistent command rejection): stay
-                    // quiet.
-                    continue;
-                };
-                let plan = plan_for(&self.injections, bus_cycle, id);
-                if self.wire_corruptions.contains(&(bus_cycle, id)) {
-                    let slot = self.bus.config().slot_of(id).expect("wheel owns a slot");
-                    self.bus.stage_wire_fault(WireFault::CorruptStatic {
-                        slot,
-                        byte: 7,
-                        mask: 0x40,
-                    });
-                }
-                let (result, events) = station.run_job(&[sp, self.actuators[w].measured()], plan);
-                for ev in events {
-                    record_escalation(
-                        &mut escalations,
-                        &mut restarts,
-                        &mut retired_nodes,
-                        bus_cycle,
-                        id,
-                        ev,
-                    );
-                }
-                if let Some(outputs) = result {
-                    let force = outputs[0];
-                    // Drive the actuator (healthy: a first-order lag) and
-                    // feed the wheel-local divergence monitor.
-                    let measured = self.actuators[w].apply(bus_cycle, force);
-                    let verdict = self.monitors[w].observe(force, measured);
-                    let error = measured.abs_diff(force);
-                    let fault_active = self.actuators[w]
-                        .fault()
-                        .is_some_and(|(_, onset)| bus_cycle >= onset);
-                    if fault_active && !verdict.tripped && error > mon_cfg.tolerance {
-                        self.overrun_streak[w] += 1;
-                        if self.overrun_streak[w] > mon_cfg.window_cycles {
-                            value.undetected_actuator_cycles += 1;
-                        }
-                    } else {
-                        self.overrun_streak[w] = 0;
-                    }
-                    if verdict.tripped {
-                        // The monitor caught a misbehaving actuator: fail
-                        // it to safe release and go fail-silent at once —
-                        // membership and the CU handle the rest.
-                        self.actuators[w].fail_safe();
-                        self.actuator_failed[w] = true;
-                        value.actuator_trips.push((bus_cycle, id));
-                        continue;
-                    }
-                    let _ = self.bus.transmit_static(id, vec![force]);
-                }
-            }
-
-            // Supervisors whose restart window elapsed under a gated
-            // policy park on the integration gate. Route them into the
-            // startup protocol (re-entering through Listen), or — with no
-            // protocol to gate on — admit them at once.
-            let parked: Vec<NodeId> = [CU_A, CU_B]
-                .iter()
-                .chain(WHEELS.iter())
-                .copied()
-                .filter(|id| {
-                    self.cu
-                        .get(id)
-                        .or_else(|| self.wheels.get(id))
-                        .and_then(|s| s.supervisor.as_ref())
-                        .is_some_and(|sup| sup.awaiting_integration())
-                })
-                .collect();
-            for id in parked {
-                if let Some(st) = self.startup.as_mut() {
-                    if st.is_active(id) {
-                        st.reset_node(id, 0, bus_cycle);
-                    }
-                } else if let Some(station) = self.station_mut(id) {
-                    for ev in station.complete_integration() {
-                        record_escalation(
-                            &mut escalations,
-                            &mut restarts,
-                            &mut retired_nodes,
-                            bus_cycle,
-                            id,
-                            ev,
-                        );
-                    }
-                }
-            }
-
-            let delivery = self.bus.finish_cycle();
-
-            // Count omissions: nodes that were members going *into* this
-            // cycle but missed their slot. Wheels only start transmitting
-            // once the first set-points arrive (cycle 1), so their silent
-            // first cycle is not an omission.
-            for id in [CU_A, CU_B].iter().chain(WHEELS.iter()) {
-                let expected = *id == CU_A || *id == CU_B || bus_cycle > 0;
-                if expected
-                    && self.membership.is_member(*id)
-                    && delivery.from_node(self.bus.config(), *id).is_none()
-                {
-                    omissions += 1;
-                }
-            }
-
-            // Startup transitions: fed the same delivery, after
-            // membership. An `Activated` node has been counted into the
-            // majority clique — release its parked supervisor, if any.
-            let cycle_startup_events = match self.startup.as_mut() {
-                Some(st) => st.observe(bus_cycle, &delivery),
-                None => Vec::new(),
-            };
-            for ev in cycle_startup_events {
-                if let StartupEvent::Activated(n) = ev {
-                    if let Some(station) = self.station_mut(n) {
-                        for sev in station.complete_integration() {
-                            record_escalation(
-                                &mut escalations,
-                                &mut restarts,
-                                &mut retired_nodes,
-                                bus_cycle,
-                                n,
-                                sev,
-                            );
-                        }
-                    }
-                }
-                startup_events.push((bus_cycle, ev));
-            }
-
-            let events = self.membership.observe(&delivery);
-            for ev in &events {
-                match ev {
-                    MembershipEvent::Excluded(n) => {
-                        self.exclusion_started.insert(*n, bus_cycle);
-                    }
-                    MembershipEvent::Reintegrated(n) => {
-                        if let Some(started) = self.exclusion_started.remove(n) {
-                            reintegration_latencies.push(bus_cycle - started);
-                        }
-                    }
-                }
-            }
-
-            // Consume CU duplex value → next cycle's wheel set-points. The
-            // selection is membership-aware: a replica still outside the
-            // view (excluded, or restarted and not yet readmitted) cannot
-            // poison the pair with stale state.
-            let cu_value = select_duplex_among(self.bus.config(), &delivery, self.cu_pair, |n| {
-                self.membership.is_member(n)
+    /// Stages the scheduled wire corruption of `node`'s frame, if any.
+    fn stage_wire_corruption(&mut self, bus_cycle: u32, node: NodeId) {
+        if self.wire_corruptions.contains(&(bus_cycle, node)) {
+            let slot = self.bus.config().slot_of(node).expect("node owns a slot");
+            self.bus.stage_wire_fault(WireFault::CorruptStatic {
+                slot,
+                byte: 7,
+                mask: 0x40,
             });
-            let cu_single = matches!(cu_value, DuplexValue::Single { .. });
-            let cu_words: Option<Vec<u32>> = cu_value.payload().map(|p| p.to_vec());
-            for w in 0..4 {
-                // Wheel-local command path: a replay fault substitutes an
-                // old buffered command, a corruption fault flips bits in
-                // the wheel's copy — both *past* the bus CRC, which is
-                // why the application-level seal must catch them.
-                let replayed = self.command_replays.contains(&(bus_cycle, w));
-                let mut presented = if replayed {
-                    self.last_command_words[w].clone()
-                } else {
-                    cu_words.clone()
-                };
-                let mut injected_corruption = false;
-                if let Some(words) = presented.as_mut() {
-                    for &(c, cw, word, mask) in &self.command_corruptions {
-                        if c == bus_cycle && cw == w && word < words.len() && mask != 0 {
-                            words[word] ^= mask;
-                            injected_corruption = true;
-                        }
+        }
+    }
+
+    /// Reads the pedal, then runs both central units: each computes the
+    /// 4-way force distribution under TEM and sends it as a sealed
+    /// command. Returns the voted pedal.
+    fn cu_jobs(&mut self, bus_cycle: u32, pedal: u32) -> u32 {
+        // Read the pedal through the triplicated sensor array: the voter
+        // masks channel faults, clamps out-of-range readings at the
+        // boundary and demotes persistently implausible channels.
+        let sample = self.pedal_sensors.sample(bus_cycle, pedal);
+        let value = &mut self.scratch.tally.value;
+        if sample.clamped {
+            value.pedal_clamped_cycles += 1;
+        }
+        value.sensor_implausible_flags += sample.implausible.iter().filter(|&&f| f).count() as u32;
+        if sample.demoted_now.is_some() {
+            value.sensor_demotions += 1;
+        }
+        let pedal_now = sample.voted;
+
+        for (cu, &id) in ALL_NODES[..FIRST_WHEEL].iter().enumerate() {
+            let plan = plan_for(&self.injections, bus_cycle, id);
+            self.stage_wire_corruption(bus_cycle, id);
+            let station = &self.stations[cu];
+            let silent_now = self.scratch.net_silenced.contains(&id)
+                || self.intent(id) != TransmitIntent::Normal
+                || station.silent_for > 0
+                || station.supervised_silent();
+            if self.cu_silent_last[cu] && !silent_now {
+                // The replica returns: it resumes transmitting at once
+                // (the distribution task is stateless) while refreshing
+                // soft state from its partner over the dynamic segment.
+                self.cu_resync[cu].begin_resync();
+            }
+            self.cu_silent_last[cu] = silent_now;
+            self.scratch.command.clear();
+            if self.may_run(cu, bus_cycle) {
+                let (result, events) = self.stations[cu].run_job(&[pedal_now], plan);
+                self.scratch.tally.escalate(bus_cycle, id, events);
+                if let Some(outputs) = result {
+                    // Degraded-mode redistribution: scale the shares of
+                    // the serving wheels when some are out of the
+                    // membership. With no wheel serving, nothing is
+                    // divided.
+                    let serving = WHEELS.map(|w| self.membership.is_member(w));
+                    let scale_den = serving.iter().filter(|&&s| s).count() as u32;
+                    let mut payload = [0u32; 4];
+                    for w in (0..4).filter(|&w| serving[w]) {
+                        payload[w] = outputs[w] * 4 / scale_den;
+                    }
+                    // Seal the set-points with a sequence number and CRC:
+                    // the wheel-side acceptor can then reject corrupted,
+                    // stale or replayed commands even when the corruption
+                    // happens past the bus CRC.
+                    FreshSealedMessage::seal_into(bus_cycle, &payload, &mut self.scratch.command);
+                    let _ = self.bus.transmit_static_slice(id, &self.scratch.command);
+                }
+            }
+            if !silent_now {
+                let resync = &mut self.cu_resync[cu];
+                resync.tick(&mut self.bus);
+                let _ = resync.process_cycle(
+                    &mut self.bus,
+                    &self.scratch.prev_delivery,
+                    &self.scratch.command,
+                );
+            }
+        }
+        pedal_now
+    }
+
+    /// Runs the four wheels: each drives its PID controller on last
+    /// cycle's set-point, its actuator and the actuator's monitor, and
+    /// sends the commanded force.
+    fn wheel_jobs(&mut self, bus_cycle: u32) {
+        let mon_cfg = ActuatorMonitorConfig::default();
+        for (w, &id) in WHEELS.iter().enumerate() {
+            let node = FIRST_WHEEL + w;
+            if self.actuator_failed[w] {
+                // Failed-safe actuator: the brake releases and the node
+                // stays fail-silent, so membership keeps it excluded and
+                // the CU redistributes its share.
+                self.actuators[w].apply(bus_cycle, 0);
+                continue;
+            }
+            if !self.may_run(node, bus_cycle) {
+                continue;
+            }
+            if self.stations[node].supervised_silent() {
+                // The escalation ladder holds this wheel down (silent,
+                // restarting or retired): advance its restart clock.
+                let events = self.stations[node].tick_supervisor();
+                self.scratch.tally.escalate(bus_cycle, id, events);
+                continue;
+            }
+            let Some(sp) = self.setpoints[w] else {
+                // No set-point yet (first cycle, CU silent beyond the hold
+                // window, or persistent command rejection): stay quiet.
+                continue;
+            };
+            let plan = plan_for(&self.injections, bus_cycle, id);
+            self.stage_wire_corruption(bus_cycle, id);
+            let (result, events) =
+                self.stations[node].run_job(&[sp, self.actuators[w].measured()], plan);
+            self.scratch.tally.escalate(bus_cycle, id, events);
+            let Some(outputs) = result else {
+                continue;
+            };
+            let force = outputs[0];
+            // Drive the actuator (healthy: a first-order lag) and feed the
+            // wheel-local divergence monitor.
+            let measured = self.actuators[w].apply(bus_cycle, force);
+            let verdict = self.monitors[w].observe(force, measured);
+            let error = measured.abs_diff(force);
+            let fault_active = self.actuators[w]
+                .fault()
+                .is_some_and(|(_, onset)| bus_cycle >= onset);
+            let value = &mut self.scratch.tally.value;
+            if fault_active && !verdict.tripped && error > mon_cfg.tolerance {
+                self.overrun_streak[w] += 1;
+                if self.overrun_streak[w] > mon_cfg.window_cycles {
+                    value.undetected_actuator_cycles += 1;
+                }
+            } else {
+                self.overrun_streak[w] = 0;
+            }
+            if verdict.tripped {
+                // The monitor caught a misbehaving actuator: fail it to
+                // safe release and go fail-silent at once — membership and
+                // the CU handle the rest.
+                self.actuators[w].fail_safe();
+                self.actuator_failed[w] = true;
+                value.actuator_trips.push((bus_cycle, id));
+                continue;
+            }
+            let _ = self.bus.transmit_static_slice(id, &[force]);
+        }
+    }
+
+    /// Supervisors whose restart window elapsed under a gated policy park
+    /// on the integration gate. Routes them into the startup protocol
+    /// (re-entering through Listen), or — with no protocol to gate on —
+    /// admits them at once.
+    fn integration_gate(&mut self, bus_cycle: u32) {
+        for (node, &id) in ALL_NODES.iter().enumerate() {
+            let parked = self.stations[node]
+                .supervisor
+                .as_ref()
+                .is_some_and(|sup| sup.awaiting_integration());
+            if !parked {
+                continue;
+            }
+            if let Some(st) = self.startup.as_mut() {
+                if st.is_active(id) {
+                    st.reset_node(id, 0, bus_cycle);
+                }
+            } else {
+                let events = self.stations[node].complete_integration();
+                self.scratch.tally.escalate(bus_cycle, id, events);
+            }
+        }
+    }
+
+    /// Closes the bus cycle into the scratch delivery and returns the
+    /// omissions: nodes that were members going *into* this cycle but
+    /// missed their slot. Wheels only start transmitting once the first
+    /// set-points arrive (cycle 1), so their silent first cycle is not an
+    /// omission.
+    fn close_bus(&mut self, bus_cycle: u32) -> u32 {
+        self.bus.finish_cycle_into(&mut self.scratch.delivery);
+        let config = self.bus.config();
+        let delivery = &self.scratch.delivery;
+        ALL_NODES
+            .iter()
+            .enumerate()
+            .filter(|&(node, &id)| {
+                (node < FIRST_WHEEL || bus_cycle > 0)
+                    && self.membership.is_member(id)
+                    && delivery.from_node(config, id).is_none()
+            })
+            .count() as u32
+    }
+
+    /// Feeds the delivery to the startup protocol, then to membership;
+    /// returns the membership changes. An `Activated` node has been
+    /// counted into the majority clique, which releases its parked
+    /// supervisor, if any.
+    fn startup_and_membership(&mut self, bus_cycle: u32) -> Vec<MembershipEvent> {
+        if let Some(st) = self.startup.as_mut() {
+            for ev in st.observe(bus_cycle, &self.scratch.delivery) {
+                if let StartupEvent::Activated(n) = ev {
+                    if let Some(i) = node_index(n) {
+                        let events = self.stations[i].complete_integration();
+                        self.scratch.tally.escalate(bus_cycle, n, events);
                     }
                 }
-                let accepted = presented
-                    .as_deref()
-                    .map(|words| self.acceptors[w].accept(words, bus_cycle));
-                match accepted {
-                    Some(Ok(forces)) if forces.len() == 4 => {
-                        if injected_corruption || replayed {
-                            // The acceptor let an injected command fault
-                            // through: a silent value failure.
-                            value.undetected_command_accepts += 1;
-                        }
-                        self.setpoints[w] = Some(forces[w]);
-                        self.last_good[w] = Some(forces[w]);
-                        self.hold_left[w] = HOLD_CYCLES;
-                        self.last_command_words[w] = presented;
+                self.scratch.tally.startup_events.push((bus_cycle, ev));
+            }
+        }
+
+        let events = self.membership.observe(&self.scratch.delivery);
+        for ev in &events {
+            match *ev {
+                MembershipEvent::Excluded(n) => {
+                    if let Some(i) = node_index(n) {
+                        self.exclusion_started[i] = Some(bus_cycle);
                     }
-                    other => {
-                        match other {
-                            Some(Err(CommandReject::Stale { .. }))
-                            | Some(Err(CommandReject::TooOld { .. })) => {
-                                value.stale_rejects += 1;
-                                value.command_rejects += 1;
-                            }
-                            Some(Err(_)) | Some(Ok(_)) => {
-                                // CRC mismatch, malformed frame, or a
-                                // well-sealed payload of the wrong shape.
-                                value.seal_rejects += 1;
-                                value.command_rejects += 1;
-                            }
-                            None => {}
-                        }
-                        // Hold-last-safe: keep braking on the last
-                        // accepted set-point for a bounded window, then
-                        // release and go quiet.
-                        if self.hold_left[w] > 0 && self.last_good[w].is_some() {
-                            self.hold_left[w] -= 1;
-                            self.setpoints[w] = self.last_good[w];
-                            value.held_setpoint_cycles += 1;
-                        } else {
-                            self.setpoints[w] = None;
-                        }
+                }
+                MembershipEvent::Reintegrated(n) => {
+                    if let Some(started) =
+                        node_index(n).and_then(|i| self.exclusion_started[i].take())
+                    {
+                        self.scratch
+                            .tally
+                            .reintegration_latencies
+                            .push(bus_cycle - started);
                     }
                 }
             }
+        }
+        events
+    }
 
-            let serving_wheels = WHEELS
+    /// Turns the CU duplex value into next cycle's wheel set-points, each
+    /// wheel checking the sealed command through its own acceptor and
+    /// holding its last safe set-point when the command is rejected or
+    /// missing. Returns whether the value came from a single replica.
+    fn command_acceptance(&mut self, bus_cycle: u32) -> bool {
+        // The selection is membership-aware: a replica still outside the
+        // view (excluded, or restarted and not yet readmitted) cannot
+        // poison the pair with stale state.
+        let cu_value = select_duplex_among(
+            self.bus.config(),
+            &self.scratch.delivery,
+            self.cu_pair,
+            |n| self.membership.is_member(n),
+        );
+        let cu_words = cu_value.payload();
+        let value = &mut self.scratch.tally.value;
+        for w in 0..4 {
+            // Wheel-local command path: a replay fault substitutes an old
+            // buffered command, a corruption fault flips bits in the
+            // wheel's copy — both *past* the bus CRC, which is why the
+            // application-level seal must catch them.
+            let replayed = self.command_replays.contains(&(bus_cycle, w));
+            let corrupted = self
+                .command_corruptions
                 .iter()
-                .filter(|&&w| self.membership.is_member(w))
-                .count();
-            let degraded = serving_wheels < 4;
-            if degraded {
-                degraded_cycles += 1;
-            }
-            let cu_alive = self.membership.is_member(CU_A) || self.membership.is_member(CU_B);
-            if !cu_alive || serving_wheels < 3 {
-                service_lost = true;
-            }
-
-            let mut wheel_force = [None; 4];
-            for (w, &id) in WHEELS.iter().enumerate() {
-                wheel_force[w] = delivery
-                    .from_node(self.bus.config(), id)
-                    .and_then(|f| f.payload.first().copied());
-            }
-
-            // Per-wheel weakly-hard service contracts: once the bus has
-            // warmed up, a wheel delivering no brake force this cycle is
-            // charged one service miss against its (m,k) contract.
-            // Violation episodes are edge-triggered so a long outage
-            // counts once per excursion, not once per cycle.
-            if bus_cycle > 0 {
-                for w in 0..4 {
-                    let miss = wheel_force[w].is_none();
-                    if miss {
-                        wheel_contract_misses[w] += 1;
+                .any(|&(c, cw, _, _)| c == bus_cycle && cw == w);
+            let mut injected_corruption = false;
+            let presented = if replayed || corrupted {
+                let source = if replayed {
+                    self.last_command_words[w].as_deref()
+                } else {
+                    cu_words
+                };
+                match source {
+                    Some(words) => {
+                        let copy = &mut self.scratch.presented;
+                        copy.clear();
+                        copy.extend_from_slice(words);
+                        for &(c, cw, word, mask) in &self.command_corruptions {
+                            if c == bus_cycle && cw == w && word < copy.len() && mask != 0 {
+                                copy[word] ^= mask;
+                                injected_corruption = true;
+                            }
+                        }
+                        Some(&self.scratch.presented[..])
                     }
-                    let verdict = self.wheel_monitors[w].record(miss);
-                    if verdict.violated && !self.wheel_violated[w] {
-                        wheel_contract_violations[w] += 1;
+                    None => None,
+                }
+            } else {
+                cu_words
+            };
+            let accepted = presented.map(|words| self.acceptors[w].accept(words, bus_cycle));
+            match accepted {
+                Some(Ok(forces)) if forces.len() == 4 => {
+                    if injected_corruption || replayed {
+                        // The acceptor let an injected command fault
+                        // through: a silent value failure.
+                        value.undetected_command_accepts += 1;
                     }
-                    self.wheel_violated[w] = verdict.violated;
+                    self.setpoints[w] = Some(forces[w]);
+                    self.last_good[w] = Some(forces[w]);
+                    self.hold_left[w] = HOLD_CYCLES;
+                    let last = self.last_command_words[w].get_or_insert_with(Vec::new);
+                    last.clear();
+                    last.extend_from_slice(presented.expect("accepted a command"));
+                }
+                other => {
+                    match other {
+                        Some(Err(CommandReject::Stale { .. }))
+                        | Some(Err(CommandReject::TooOld { .. })) => {
+                            value.stale_rejects += 1;
+                            value.command_rejects += 1;
+                        }
+                        Some(Err(_)) | Some(Ok(_)) => {
+                            // CRC mismatch, malformed frame, or a
+                            // well-sealed payload of the wrong shape.
+                            value.seal_rejects += 1;
+                            value.command_rejects += 1;
+                        }
+                        None => {}
+                    }
+                    // Hold-last-safe: keep braking on the last accepted
+                    // set-point for a bounded window, then release and go
+                    // quiet.
+                    if self.hold_left[w] > 0 && self.last_good[w].is_some() {
+                        self.hold_left[w] -= 1;
+                        self.setpoints[w] = self.last_good[w];
+                        value.held_setpoint_cycles += 1;
+                    } else {
+                        self.setpoints[w] = None;
+                    }
                 }
             }
+        }
+        matches!(cu_value, DuplexValue::Single { .. })
+    }
 
-            let members = self.membership.members().len();
-            min_members = min_members.min(members);
-            if members <= 3 {
-                split_membership = true;
+    /// Scores the cycle's service — degraded mode, service loss, the
+    /// wheels' (m,k) contracts, the membership size — into the run
+    /// tallies, and returns the cycle's outcome.
+    fn service_tallies(
+        &mut self,
+        bus_cycle: u32,
+        pedal_now: u32,
+        cu_single: bool,
+        events: Vec<MembershipEvent>,
+        omissions: u32,
+    ) -> CycleOutcome {
+        let serving_wheels = WHEELS
+            .iter()
+            .filter(|&&w| self.membership.is_member(w))
+            .count();
+        let degraded = serving_wheels < 4;
+        let cu_alive = self.membership.is_member(CU_A) || self.membership.is_member(CU_B);
+        let service_lost = !cu_alive || serving_wheels < 3;
+        let config = self.bus.config();
+        let wheel_force = WHEELS.map(|id| {
+            self.scratch
+                .delivery
+                .from_node(config, id)
+                .and_then(|f| f.payload.first().copied())
+        });
+        let members = self.membership.member_count();
+
+        let tally = &mut self.scratch.tally;
+        // Per-wheel weakly-hard service contracts: once the bus has warmed
+        // up, a wheel delivering no brake force this cycle is charged one
+        // service miss against its (m,k) contract. Violation episodes are
+        // edge-triggered so a long outage counts once per excursion, not
+        // once per cycle.
+        if bus_cycle > 0 {
+            for (w, force) in wheel_force.iter().enumerate() {
+                let miss = force.is_none();
+                if miss {
+                    tally.wheel_contract_misses[w] += 1;
+                }
+                let verdict = self.wheel_monitors[w].record(miss);
+                if verdict.violated && !self.wheel_violated[w] {
+                    tally.wheel_contract_violations[w] += 1;
+                }
+                self.wheel_violated[w] = verdict.violated;
             }
+        }
+        tally.degraded_cycles += u32::from(degraded);
+        tally.omissions += omissions;
+        tally.service_lost |= service_lost;
+        tally.min_members = tally.min_members.min(members);
+        tally.split_membership |= members <= 3;
 
-            records.push(CycleRecord {
+        CycleOutcome {
+            record: CycleRecord {
                 cycle: bus_cycle,
                 pedal: pedal_now,
                 wheel_force,
@@ -1310,55 +1427,11 @@ impl BbwCluster {
                 cu_single,
                 degraded,
                 events,
-            });
-            self.prev_delivery = Some(delivery);
-        }
-
-        ClusterReport {
-            records,
-            degraded_cycles,
+            },
             omissions,
             service_lost,
-            split_membership,
-            min_members,
-            reintegration_latencies,
-            crc_rejects: self.bus.crc_rejects() - crc_rejects_0,
-            guardian_blocks: self.bus.guardian_blocks() - guardian_blocks_0,
-            masquerade_rejects: self.bus.masquerade_rejects() - masquerade_rejects_0,
-            corruptions_applied: self.bus.corruptions_applied() - corruptions_applied_0,
-            masquerades_applied: self.bus.masquerades_applied() - masquerades_applied_0,
-            escalations,
-            restarts,
-            retired_nodes,
-            startup_events,
-            value: ValueDomainReport {
-                undetected_sensor_cycles: self.pedal_sensors.stats().undetected_error_cycles
-                    - undetected_sensor_base,
-                ..value
-            },
-            wheel_contracts: self.wheel_contracts,
-            wheel_contract_misses,
-            wheel_contract_violations,
-            core_deaths: core_death_records,
         }
     }
-}
-
-fn record_escalation(
-    escalations: &mut Vec<(u32, NodeId, EscalationEvent)>,
-    restarts: &mut u32,
-    retired_nodes: &mut Vec<NodeId>,
-    cycle: u32,
-    node: NodeId,
-    event: EscalationEvent,
-) {
-    if matches!(event, EscalationEvent::RestartScheduled { .. }) {
-        *restarts += 1;
-    }
-    if event == EscalationEvent::Retired && !retired_nodes.contains(&node) {
-        retired_nodes.push(node);
-    }
-    escalations.push((cycle, node, event));
 }
 
 impl Default for BbwCluster {
@@ -1854,5 +1927,75 @@ mod tests {
             "the first death is survivable, the second exhausts the cores"
         );
         assert!(report.omissions > 0);
+    }
+
+    /// A supervised wheel whose stuck-at fault walks it down the
+    /// escalation ladder, optionally held down by a network outage from
+    /// `outage.0` for `outage.1` cycles. Returns the escalation events of
+    /// the wheel.
+    fn supervised_stuck_wheel(outage: Option<(u32, u32)>) -> Vec<(u32, EscalationEvent)> {
+        use nlft_machine::fault::FaultTarget;
+        use nlft_net::inject::BlackoutSpec;
+
+        let victim = WHEELS[1];
+        let mut cluster = BbwCluster::new();
+        cluster.supervise(
+            victim,
+            AlphaCountConfig::default(),
+            EscalationPolicy::default(),
+        );
+        cluster.attach_stuck_at(
+            victim,
+            StuckAtFault {
+                target: FaultTarget::Pc,
+                bit: 1 << 20,
+                stuck_high: true,
+            },
+        );
+        if let Some((at_cycle, down_cycles)) = outage {
+            let plan = NetFaultPlan::quiet().with_blackout(BlackoutSpec {
+                at_cycle,
+                nodes: vec![victim],
+                down_cycles,
+                stagger: 0,
+            });
+            cluster.attach_net_faults(plan, RngStream::new(0x0C1C).fork("net-injector"));
+        }
+        let report = cluster.run(20, constant_pedal);
+        report
+            .escalations
+            .iter()
+            .filter(|&&(_, n, _)| n == victim)
+            .map(|&(c, _, e)| (c, e))
+            .collect()
+    }
+
+    #[test]
+    fn wheel_restart_clock_runs_through_a_net_outage() {
+        // Reference: the ladder schedules a restart and the wheel comes
+        // back when the wait window has elapsed.
+        let clean = supervised_stuck_wheel(None);
+        let scheduled = clean
+            .iter()
+            .find(|(_, e)| matches!(e, EscalationEvent::RestartScheduled { .. }))
+            .expect("the stuck-at wheel is scheduled for a restart")
+            .0;
+        let restarted = clean
+            .iter()
+            .find(|(_, e)| *e == EscalationEvent::Restarted)
+            .expect("the wheel restarts")
+            .0;
+        assert!(restarted > scheduled + 1, "the wait window spans cycles");
+
+        // The same wheel, net-crashed across its whole wait window: wall
+        // time passes whether or not the node executes, so it must
+        // restart on the very same cycle, as a central unit does.
+        let outage = supervised_stuck_wheel(Some((scheduled + 1, restarted - scheduled)));
+        let restarted_through_outage = outage
+            .iter()
+            .find(|(_, e)| *e == EscalationEvent::Restarted)
+            .expect("the wheel restarts through the outage")
+            .0;
+        assert_eq!(restarted_through_outage, restarted);
     }
 }

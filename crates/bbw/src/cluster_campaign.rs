@@ -8,11 +8,10 @@
 //! majority of faults must be invisible at this level.
 
 use nlft_machine::fault::FaultSpace;
-use nlft_net::frame::NodeId;
 use nlft_net::inject::{InjectionCounts, NetFaultPlan, NetFaultRates};
 use nlft_sim::rng::RngStream;
 
-use crate::cluster::{BbwCluster, ClusterInjection, CU_A, CU_B, WHEELS};
+use crate::cluster::{BbwCluster, ClusterInjection, ALL_NODES};
 
 /// Configuration of a cluster-level campaign.
 #[derive(Debug, Clone)]
@@ -64,8 +63,6 @@ impl ClusterCampaignResult {
         }
     }
 }
-
-const ALL_NODES: [NodeId; 6] = [CU_A, CU_B, WHEELS[0], WHEELS[1], WHEELS[2], WHEELS[3]];
 
 /// Runs the campaign. Deterministic in the seed.
 ///
@@ -139,6 +136,15 @@ impl NetStormCampaignConfig {
             intensity: 0.3,
             with_node_faults: true,
         }
+    }
+
+    /// The network fault plan every trial attaches:
+    /// [`NetFaultRates::storm`] at this intensity on all six nodes, plus
+    /// dynamic-segment duplication and reordering at a tenth of it.
+    pub fn plan(&self) -> NetFaultPlan {
+        NetFaultPlan::quiet()
+            .with_nodes(&ALL_NODES, NetFaultRates::storm(self.intensity))
+            .with_dynamic(0.10 * self.intensity, 0.10 * self.intensity)
     }
 }
 
@@ -282,10 +288,7 @@ fn run_storm_shard(
     for trial in start..end {
         let mut rng = root.fork_indexed("net-storm-trial", trial);
         let mut cluster = BbwCluster::new();
-        let plan = NetFaultPlan::quiet()
-            .with_nodes(&ALL_NODES, NetFaultRates::storm(config.intensity))
-            .with_dynamic(0.10 * config.intensity, 0.10 * config.intensity);
-        cluster.attach_net_faults(plan, rng.fork("net-injector"));
+        cluster.attach_net_faults(config.plan(), rng.fork("net-injector"));
         if config.with_node_faults {
             let node = ALL_NODES[rng.uniform_range(0, ALL_NODES.len() as u64) as usize];
             let cycle = rng.uniform_range(1, u64::from(config.cycles) - 1) as u32;

@@ -24,9 +24,7 @@ use nlft_machine::fault::{FaultTarget, IntermittentFault, StuckAtFault, Transien
 use nlft_net::frame::NodeId;
 use nlft_sim::rng::RngStream;
 
-use crate::cluster::{BbwCluster, ClusterInjection, ClusterReport, CU_A, CU_B, WHEELS};
-
-const ALL_NODES: [NodeId; 6] = [CU_A, CU_B, WHEELS[0], WHEELS[1], WHEELS[2], WHEELS[3]];
+use crate::cluster::{BbwCluster, ClusterInjection, ClusterReport, ALL_NODES, CU_A, WHEELS};
 
 /// A processor fault that essentially always activates: a flipped high PC
 /// bit sends execution into unmapped memory.

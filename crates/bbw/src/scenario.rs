@@ -38,7 +38,7 @@ use nlft_sim::rng::RngStream;
 use crate::actuator::ActuatorFault;
 use crate::blackout::{run_blackout_campaign, BlackoutCampaignConfig};
 use crate::braking::MissPolicy;
-use crate::cluster::{BbwCluster, ClusterInjection, ClusterReport, CU_A, CU_B, WHEELS};
+use crate::cluster::{BbwCluster, ClusterInjection, ClusterReport, ALL_NODES, CU_A, CU_B, WHEELS};
 use crate::cluster_campaign::{run_net_storm_campaign, NetStormCampaignConfig};
 use crate::recovery::{run_recovery_cluster_campaign, RecoveryClusterCampaignConfig};
 use crate::sensor::SensorFault;
@@ -206,8 +206,6 @@ fn node_id(name: NodeName) -> NodeId {
         NodeName::WheelRr => WHEELS[3],
     }
 }
-
-const ALL_NODES: [NodeId; 6] = [CU_A, CU_B, WHEELS[0], WHEELS[1], WHEELS[2], WHEELS[3]];
 
 /// The deterministic near-certain-activation transient the DSL's
 /// `transient` / `intermittent` lines inject: a flipped high PC bit

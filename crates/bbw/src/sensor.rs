@@ -296,8 +296,13 @@ impl PedalSensorArray {
         // Median over ALL channels (demoted ones excluded below): the
         // median of the active set is the vote; plausibility is judged
         // against it.
-        let active_before: Vec<usize> = (0..3).filter(|&i| !self.channels[i].demoted).collect();
-        let voted = match active_before.len() {
+        let mut active_before = [0usize; 3];
+        let mut n_active = 0;
+        for i in (0..3).filter(|&i| !self.channels[i].demoted) {
+            active_before[n_active] = i;
+            n_active += 1;
+        }
+        let voted = match n_active {
             0 => self.last_voted,
             1 => readings[active_before[0]],
             2 => {

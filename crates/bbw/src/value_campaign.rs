@@ -30,7 +30,7 @@ use nlft_net::inject::{NetFaultPlan, NetFaultRates};
 use nlft_sim::rng::RngStream;
 
 use crate::actuator::ActuatorFault;
-use crate::cluster::{BbwCluster, ClusterInjection, ClusterReport, CU_A, CU_B, WHEELS};
+use crate::cluster::{BbwCluster, ClusterInjection, ClusterReport, ALL_NODES};
 use crate::sensor::{SensorFault, PEDAL_MAX};
 
 /// What each trial injects.
@@ -245,9 +245,6 @@ fn draw_command_fault(rng: &mut RngStream, cluster: &mut BbwCluster, cycles: u32
         cluster.replay_command_at_wheel(cycle, wheel);
     }
 }
-
-const ALL_NODES: [nlft_net::frame::NodeId; 6] =
-    [CU_A, CU_B, WHEELS[0], WHEELS[1], WHEELS[2], WHEELS[3]];
 
 /// Runs the value-domain campaign. Deterministic in the seed and
 /// invariant in the thread count.

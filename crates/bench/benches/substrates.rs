@@ -3,6 +3,8 @@
 //! simulation, the TDMA bus and the campaign trial loop.
 
 use nlft_bbw::cluster::BbwCluster;
+use nlft_bbw::cluster_campaign::NetStormCampaignConfig;
+use nlft_bbw::scenario::{compile, CompiledScenario};
 use nlft_kernel::preemptive::{PreemptiveExecutive, ResidentTask};
 use nlft_kernel::sched::FpSimulator;
 use nlft_kernel::task::{Criticality, Priority, TaskId, TaskSet, TaskSpecBuilder};
@@ -14,6 +16,8 @@ use nlft_net::frame::NodeId;
 use nlft_reliability::ctmc::CtmcBuilder;
 use nlft_reliability::faulttree::FaultTreeBuilder;
 use nlft_reliability::linalg::Matrix;
+use nlft_reliability::scenario::parse_scenario;
+use nlft_sim::rng::RngStream;
 use nlft_sim::time::SimDuration;
 use nlft_testkit::bench::Bench;
 use std::hint::black_box;
@@ -227,10 +231,43 @@ fn bench_net() {
         });
     }
     {
+        // One cycle of a warm cluster: `step` alone, without the report a
+        // `run(1, …)` would also build.
         let mut cluster = BbwCluster::new();
-        b.bench("bbw_cluster_cycle", || black_box(cluster.run(1, |_| 1000)));
+        for _ in 0..8 {
+            cluster.step(1000);
+        }
+        b.bench("bbw_cluster_cycle", || black_box(cluster.step(1000)));
+    }
+    {
+        // The same under the `net-storm-nominal` zoo scenario's plan.
+        let mut cluster = BbwCluster::new();
+        let storm = nominal_storm();
+        cluster.attach_net_faults(
+            storm.plan(),
+            RngStream::new(storm.seed).fork("net-injector"),
+        );
+        for _ in 0..8 {
+            cluster.step(1000);
+        }
+        b.bench("bbw_cluster_cycle_storm", || black_box(cluster.step(1000)));
     }
     b.finish();
+}
+
+/// The campaign configuration the `net-storm-nominal` zoo scenario
+/// compiles to.
+fn nominal_storm() -> NetStormCampaignConfig {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/net-storm-nominal.scn"
+    );
+    let source = std::fs::read_to_string(path).expect("zoo file readable");
+    let spec = parse_scenario(&source).expect("zoo scenario parses");
+    match compile(&spec, 1).expect("zoo scenario compiles") {
+        CompiledScenario::NetStorm(config) => config,
+        _ => panic!("net-storm-nominal is a net storm"),
+    }
 }
 
 fn main() {

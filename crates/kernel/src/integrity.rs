@@ -291,11 +291,19 @@ pub struct FreshSealedMessage {
 impl FreshSealedMessage {
     /// Seals a payload under a sequence number.
     pub fn seal(seq: u32, payload: Vec<u32>) -> Self {
-        let mut all = Vec::with_capacity(payload.len() + 1);
-        all.push(seq);
-        all.extend_from_slice(&payload);
-        let crc = crc32(&all);
+        let crc = seal_crc(seq, &payload);
         FreshSealedMessage { seq, payload, crc }
+    }
+
+    /// Seals `payload` under `seq` straight into its wire form
+    /// `[seq, payload…, crc]`, reusing `words`' allocation: the same words
+    /// [`FreshSealedMessage::to_words`] yields for
+    /// `FreshSealedMessage::seal(seq, payload.to_vec())`.
+    pub fn seal_into(seq: u32, payload: &[u32], words: &mut Vec<u32>) {
+        words.clear();
+        words.push(seq);
+        words.extend_from_slice(payload);
+        words.push(crc32(words));
     }
 
     /// The (unverified) sequence number.
@@ -340,10 +348,7 @@ impl FreshSealedMessage {
     /// [`IntegrityError::CrcMismatch`] if seq, payload or CRC were
     /// corrupted anywhere between sealing and opening.
     pub fn open(self) -> Result<(u32, Vec<u32>), IntegrityError> {
-        let mut all = Vec::with_capacity(self.payload.len() + 1);
-        all.push(self.seq);
-        all.extend_from_slice(&self.payload);
-        let actual = crc32(&all);
+        let actual = seal_crc(self.seq, &self.payload);
         if actual != self.crc {
             return Err(IntegrityError::CrcMismatch {
                 expected: self.crc,
@@ -363,6 +368,12 @@ impl FreshSealedMessage {
             i => self.payload[i - 1] ^= mask,
         }
     }
+}
+
+/// The CRC a [`FreshSealedMessage`] carries: over the sequence number and
+/// the payload, in wire order, without assembling them.
+fn seal_crc(seq: u32, payload: &[u32]) -> u32 {
+    nlft_sim::crc::crc32_word_stream(std::iter::once(seq).chain(payload.iter().copied()))
 }
 
 /// Why a consumer rejected a sealed command.
@@ -421,7 +432,7 @@ impl fmt::Display for CommandReject {
 ///
 /// let mut port = CommandAcceptor::new(2);
 /// let cmd = FreshSealedMessage::seal(5, vec![900]);
-/// assert_eq!(port.accept(&cmd.to_words(), 6).unwrap(), vec![900]);
+/// assert_eq!(port.accept(&cmd.to_words(), 6).unwrap(), [900]);
 /// // The same command delivered again is a replay.
 /// assert!(matches!(
 ///     port.accept(&cmd.to_words(), 7),
@@ -465,14 +476,14 @@ impl CommandAcceptor {
 
     /// Validates one wire buffer at consumer time `now` (same clock the
     /// producer seals with — in a time-triggered system, the global cycle
-    /// count). Returns the payload on success.
+    /// count). Returns the payload on success, borrowed from `words`.
     ///
     /// # Errors
     ///
     /// [`CommandReject`] when the buffer is malformed, fails the
     /// end-to-end CRC, repeats or precedes an accepted sequence number,
     /// or is older than the acceptor's age bound.
-    pub fn accept(&mut self, words: &[u32], now: u32) -> Result<Vec<u32>, CommandReject> {
+    pub fn accept<'w>(&mut self, words: &'w [u32], now: u32) -> Result<&'w [u32], CommandReject> {
         let result = self.accept_inner(words, now);
         match result {
             Ok(_) => self.accepted += 1,
@@ -481,9 +492,22 @@ impl CommandAcceptor {
         result
     }
 
-    fn accept_inner(&mut self, words: &[u32], now: u32) -> Result<Vec<u32>, CommandReject> {
-        let msg = FreshSealedMessage::from_words(words).ok_or(CommandReject::Malformed)?;
-        let (seq, payload) = msg.open().map_err(CommandReject::Corrupt)?;
+    fn accept_inner<'w>(&mut self, words: &'w [u32], now: u32) -> Result<&'w [u32], CommandReject> {
+        // The wire form is `[seq, payload…, crc]` (see
+        // `FreshSealedMessage::to_words`), so the seal is checked in place:
+        // its CRC covers exactly the words before it.
+        let [seq, .., crc] = *words else {
+            return Err(CommandReject::Malformed);
+        };
+        let sealed = &words[..words.len() - 1];
+        let actual = crc32(sealed);
+        if actual != crc {
+            return Err(CommandReject::Corrupt(IntegrityError::CrcMismatch {
+                expected: crc,
+                actual,
+            }));
+        }
+        let payload = &sealed[1..];
         if let Some(last) = self.last_seq {
             if !seq_newer(seq, last) {
                 return Err(CommandReject::Stale { seq, last });

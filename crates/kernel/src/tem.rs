@@ -109,6 +109,74 @@ pub struct CopyTrace {
     pub cycles: u64,
 }
 
+/// Most executions one job may run: the cap on
+/// [`TemConfig::max_executions`], and the capacity of the inline
+/// [`CopyTraces`] a [`JobReport`] carries (two scheduled copies, one
+/// recovery copy and one more EDM-killed attempt).
+pub const MAX_EXECUTIONS: usize = 4;
+
+/// The per-copy trace of one job: up to [`MAX_EXECUTIONS`] entries held
+/// inline, so recording a job's copies never allocates. Reads as a slice
+/// of [`CopyTrace`] in execution order.
+#[derive(Clone, Copy)]
+pub struct CopyTraces {
+    entries: [CopyTrace; MAX_EXECUTIONS],
+    len: usize,
+}
+
+impl CopyTraces {
+    const EMPTY: CopyTrace = CopyTrace {
+        index: 0,
+        result: CopyResult::Completed,
+        cycles: 0,
+    };
+
+    fn new() -> Self {
+        CopyTraces {
+            entries: [Self::EMPTY; MAX_EXECUTIONS],
+            len: 0,
+        }
+    }
+
+    /// Appends one copy's trace; [`TemExecutor::new`] bounds the job to
+    /// [`MAX_EXECUTIONS`] copies, so the trace never overflows.
+    fn push(&mut self, trace: CopyTrace) {
+        self.entries[self.len] = trace;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for CopyTraces {
+    type Target = [CopyTrace];
+
+    fn deref(&self) -> &[CopyTrace] {
+        &self.entries[..self.len]
+    }
+}
+
+impl<'a> IntoIterator for &'a CopyTraces {
+    type Item = &'a CopyTrace;
+    type IntoIter = std::slice::Iter<'a, CopyTrace>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for CopyTraces {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for CopyTraces {}
+
+impl fmt::Debug for CopyTraces {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Final outcome of one TEM-protected job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobOutcome {
@@ -155,7 +223,7 @@ pub struct JobReport {
     /// The job outcome.
     pub outcome: JobOutcome,
     /// Per-copy execution trace.
-    pub copies: Vec<CopyTrace>,
+    pub copies: CopyTraces,
     /// Total cycles consumed, including kernel overheads.
     pub cycles_used: u64,
     /// Delivered output ports (`None` on omission).
@@ -252,7 +320,8 @@ impl TemExecutor {
     /// # Panics
     ///
     /// Panics when `config.max_results < 2` (a job needs two results to
-    /// compare) or `config.min_results > 3` (the vote reads three).
+    /// compare), `config.min_results > 3` (the vote reads three) or
+    /// `config.max_executions > MAX_EXECUTIONS` (the copy trace is inline).
     pub fn new(config: TemConfig) -> Self {
         assert!(
             config.max_results >= 2,
@@ -263,6 +332,11 @@ impl TemExecutor {
             config.min_results <= 3,
             "TEM votes over at most 3 results, got min_results {}",
             config.min_results
+        );
+        assert!(
+            config.max_executions as usize <= MAX_EXECUTIONS,
+            "TEM runs at most {MAX_EXECUTIONS} executions per job, got max_executions {}",
+            config.max_executions
         );
         TemExecutor { config }
     }
@@ -301,7 +375,7 @@ impl TemExecutor {
     ) -> JobReport {
         let cfg = &self.config;
         let mut cycles_used: u64 = 0;
-        let mut copies: Vec<CopyTrace> = Vec::new();
+        let mut copies = CopyTraces::new();
         let mut detections: Vec<Edm> = Vec::new();
         // The results gathered so far fill `results[..n_results]`: three
         // inline slots, as the vote reads at most three. A slot is set up
@@ -314,7 +388,7 @@ impl TemExecutor {
 
         let deliver = |outcome_mask: Option<Edm>,
                        outputs: [Option<u32>; NUM_PORTS],
-                       copies: Vec<CopyTrace>,
+                       copies: CopyTraces,
                        cycles_used: u64,
                        detections: Vec<Edm>| JobReport {
             outcome: match outcome_mask {
@@ -1158,6 +1232,14 @@ mod tests {
     fn executor_rejects_more_than_three_minimum_results() {
         let mut cfg = TemConfig::with_budget(100);
         cfg.min_results = 4;
+        TemExecutor::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4 executions")]
+    fn executor_rejects_more_executions_than_the_trace_holds() {
+        let mut cfg = TemConfig::with_budget(100);
+        cfg.max_executions = MAX_EXECUTIONS as u32 + 1;
         TemExecutor::new(cfg);
     }
 

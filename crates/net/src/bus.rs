@@ -8,7 +8,6 @@
 //! transmissions outside the sender's slot, converting babbling-idiot
 //! failures into omissions.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::frame::{Frame, NodeId, SlotId};
@@ -139,13 +138,150 @@ pub enum WireFault {
     ReorderDynamic,
 }
 
+/// The static segment of one cycle as a slot table: at most one frame per
+/// slot, read in slot order.
+///
+/// Each slot keeps its frame buffer when its frame is removed, so a table
+/// reused cycle after cycle (the bus's pending frames, a delivery passed
+/// to [`Bus::finish_cycle_into`]) recycles its payload allocations instead
+/// of making new ones. The lookup methods keep the names of a map keyed by
+/// [`SlotId`].
+#[derive(Clone, Default)]
+pub struct StaticFrames {
+    /// One buffer per slot; `frames[s]` holds a frame iff bit `s` of
+    /// `present` is set.
+    frames: Vec<Frame>,
+    /// Occupancy bitmap over the 256 possible slots.
+    present: [u64; 4],
+    len: usize,
+}
+
+impl StaticFrames {
+    /// Number of slots holding a frame.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no slot holds a frame.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether `slot` holds a frame.
+    pub fn contains_key(&self, slot: &SlotId) -> bool {
+        self.present[usize::from(slot.0 / 64)] & (1 << (slot.0 % 64)) != 0
+    }
+
+    /// The frame in `slot`, if any.
+    pub fn get(&self, slot: &SlotId) -> Option<&Frame> {
+        self.contains_key(slot)
+            .then(|| &self.frames[slot.0 as usize])
+    }
+
+    /// The slots holding a frame, with their frames, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (SlotId, &Frame)> {
+        self.frames
+            .iter()
+            .enumerate()
+            .map(|(s, frame)| (SlotId(s as u8), frame))
+            .filter(|(slot, _)| self.contains_key(slot))
+    }
+
+    /// The frames, in slot order.
+    pub fn values(&self) -> impl Iterator<Item = &Frame> {
+        self.iter().map(|(_, frame)| frame)
+    }
+
+    /// Removes every frame, keeping the buffers.
+    fn clear(&mut self) {
+        self.present = [0; 4];
+        self.len = 0;
+    }
+
+    /// Flips the occupancy bit of `slot`.
+    fn toggle(&mut self, slot: SlotId) {
+        self.present[usize::from(slot.0 / 64)] ^= 1 << (slot.0 % 64);
+    }
+
+    /// Removes the frame in `slot`, keeping its buffer; returns whether
+    /// there was one.
+    fn remove(&mut self, slot: SlotId) -> bool {
+        let had = self.contains_key(&slot);
+        if had {
+            self.toggle(slot);
+            self.len -= 1;
+        }
+        had
+    }
+
+    fn get_mut(&mut self, slot: SlotId) -> Option<&mut Frame> {
+        self.contains_key(&slot)
+            .then(|| &mut self.frames[slot.0 as usize])
+    }
+
+    /// Grows the table to at least `slots` slot buffers, in one step.
+    fn reserve_slots(&mut self, slots: usize) {
+        let n = self.frames.len();
+        if n < slots {
+            self.frames.reserve_exact(slots - n);
+            self.frames
+                .extend((n..slots).map(|s| Frame::new(NodeId(0), SlotId(s as u8), 0, Vec::new())));
+        }
+    }
+
+    /// Marks `slot` occupied and returns its buffer for the caller to
+    /// fill, growing the table to reach the slot.
+    fn occupy(&mut self, slot: SlotId) -> &mut Frame {
+        let s = slot.0 as usize;
+        self.reserve_slots(s + 1);
+        if !self.contains_key(&slot) {
+            self.toggle(slot);
+            self.len += 1;
+        }
+        &mut self.frames[s]
+    }
+
+    /// Moves the frame in `from`'s `slot` into this table, handing this
+    /// table's old buffer for the slot back to `from`.
+    fn take_from(&mut self, from: &mut StaticFrames, slot: SlotId) {
+        if from.remove(slot) {
+            std::mem::swap(self.occupy(slot), &mut from.frames[slot.0 as usize]);
+        }
+    }
+}
+
+impl std::ops::Index<&SlotId> for StaticFrames {
+    type Output = Frame;
+
+    fn index(&self, slot: &SlotId) -> &Frame {
+        self.get(slot)
+            .unwrap_or_else(|| panic!("no frame in {slot}"))
+    }
+}
+
+/// Two tables are equal when the same slots hold equal frames; idle
+/// buffers do not count.
+impl PartialEq for StaticFrames {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for StaticFrames {}
+
+impl fmt::Debug for StaticFrames {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// Everything delivered in one completed cycle.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CycleDelivery {
     /// Cycle counter.
     pub cycle: u32,
     /// Valid static-segment frames, by slot.
-    pub static_frames: BTreeMap<SlotId, Frame>,
+    pub static_frames: StaticFrames,
     /// Valid dynamic-segment frames, in arbitration (priority) order.
     pub dynamic_frames: Vec<Frame>,
     /// Count of frames discarded for CRC/format errors this cycle.
@@ -186,8 +322,9 @@ pub struct Bus {
     /// bytes is deferred to `finish_cycle` and only performed for frames a
     /// staged fault actually touches. For valid frames `decode ∘ encode`
     /// is the identity, so skipping the round-trip for clean traffic is
-    /// bit-invisible to receivers.
-    static_pending: BTreeMap<SlotId, Frame>,
+    /// bit-invisible to receivers. Frames move out by buffer swap, so the
+    /// table recycles whatever payload buffers a delivery hands back.
+    static_pending: StaticFrames,
     dynamic_pending: Vec<(u8, Frame)>, // (priority, frame)
     /// Reusable wire-image buffer for the frames that do need encoding.
     scratch: Vec<u8>,
@@ -207,7 +344,7 @@ impl Bus {
             config,
             cycle: 0,
             in_cycle: false,
-            static_pending: BTreeMap::new(),
+            static_pending: StaticFrames::default(),
             dynamic_pending: Vec::new(),
             scratch: Vec::new(),
             wire_faults: Vec::new(),
@@ -291,18 +428,43 @@ impl Bus {
         node: NodeId,
         payload: Vec<u32>,
     ) -> Result<(), TransmitError> {
-        assert!(self.in_cycle, "no open cycle");
-        let slot = match self.config.slot_of(node) {
-            Some(s) => s,
-            None => {
-                self.guardian_blocks += 1;
-                return Err(TransmitError::GuardianBlocked {
-                    node,
-                    slot: SlotId(u8::MAX),
-                });
-            }
-        };
+        let slot = self.owned_slot(node)?;
         self.transmit_in_slot(node, slot, payload)
+    }
+
+    /// [`Bus::transmit_static`] from a borrowed payload, copied into the
+    /// slot's recycled frame buffer: a sender that reuses its own word
+    /// buffer transmits without allocating.
+    ///
+    /// # Errors
+    ///
+    /// As [`Bus::transmit_static`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no cycle is open.
+    pub fn transmit_static_slice(
+        &mut self,
+        node: NodeId,
+        payload: &[u32],
+    ) -> Result<(), TransmitError> {
+        let slot = self.owned_slot(node)?;
+        let frame = self.stage_static(node, slot, payload.len())?;
+        frame.payload.clear();
+        frame.payload.extend_from_slice(payload);
+        Ok(())
+    }
+
+    /// The slot `node` owns; the guardian blocks a node that owns none.
+    fn owned_slot(&mut self, node: NodeId) -> Result<SlotId, TransmitError> {
+        assert!(self.in_cycle, "no open cycle");
+        self.config.slot_of(node).ok_or_else(|| {
+            self.guardian_blocks += 1;
+            TransmitError::GuardianBlocked {
+                node,
+                slot: SlotId(u8::MAX),
+            }
+        })
     }
 
     /// Transmits claiming an explicit slot — the bus guardian verifies
@@ -321,6 +483,20 @@ impl Bus {
         slot: SlotId,
         payload: Vec<u32>,
     ) -> Result<(), TransmitError> {
+        let frame = self.stage_static(node, slot, payload.len())?;
+        frame.payload = payload;
+        Ok(())
+    }
+
+    /// The guardian, slot and length checks of a static transmission of
+    /// `words` payload words; returns the slot's frame buffer, headed for
+    /// this cycle, for the caller to fill with the payload.
+    fn stage_static(
+        &mut self,
+        node: NodeId,
+        slot: SlotId,
+        words: usize,
+    ) -> Result<&mut Frame, TransmitError> {
         assert!(self.in_cycle, "no open cycle");
         if self.config.static_slots.get(slot.0 as usize) != Some(&node) {
             self.guardian_blocks += 1;
@@ -329,14 +505,14 @@ impl Bus {
         if self.static_pending.contains_key(&slot) {
             return Err(TransmitError::SlotBusy(slot));
         }
-        if payload.len() > Frame::MAX_PAYLOAD_WORDS {
-            return Err(TransmitError::PayloadTooLarge {
-                words: payload.len(),
-            });
+        if words > Frame::MAX_PAYLOAD_WORDS {
+            return Err(TransmitError::PayloadTooLarge { words });
         }
-        self.static_pending
-            .insert(slot, Frame::new(node, slot, self.cycle, payload));
-        Ok(())
+        let frame = self.static_pending.occupy(slot);
+        frame.sender = node;
+        frame.slot = slot;
+        frame.cycle = self.cycle;
+        Ok(frame)
     }
 
     /// Queues a dynamic-segment transmission with a priority (lower wins).
@@ -391,13 +567,30 @@ impl Bus {
     ///
     /// Panics if no cycle is open.
     pub fn finish_cycle(&mut self) -> CycleDelivery {
+        let mut delivery = CycleDelivery::default();
+        self.finish_cycle_into(&mut delivery);
+        delivery
+    }
+
+    /// [`Bus::finish_cycle`] into a caller-owned delivery, whose previous
+    /// contents are replaced. Delivered static frames trade buffers with
+    /// the slots of `delivery`, so a receiver that alternates two
+    /// deliveries keeps recycling the same payload allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no cycle is open.
+    pub fn finish_cycle_into(&mut self, delivery: &mut CycleDelivery) {
         assert!(self.in_cycle, "no open cycle");
         self.in_cycle = false;
-        let mut delivery = CycleDelivery {
-            cycle: self.cycle,
-            ..CycleDelivery::default()
-        };
-        let faults = std::mem::take(&mut self.wire_faults);
+        delivery.cycle = self.cycle;
+        delivery.static_frames.clear();
+        delivery
+            .static_frames
+            .reserve_slots(self.config.static_slots.len());
+        delivery.dynamic_frames.clear();
+        delivery.rejected = 0;
+        let mut faults = std::mem::take(&mut self.wire_faults);
 
         // Static faults in canonical order: drops, then masquerades, then
         // corruptions. A corruption therefore only lands on frames that
@@ -411,14 +604,14 @@ impl Bus {
         // need encoding.
         for f in &faults {
             if let WireFault::DropStatic { slot } = f {
-                if self.static_pending.remove(slot).is_some() {
+                if self.static_pending.remove(*slot) {
                     self.drops_applied += 1;
                 }
             }
         }
         for f in &faults {
             if let WireFault::MasqueradeStatic { slot, claim } = f {
-                if let Some(frame) = self.static_pending.get_mut(slot) {
+                if let Some(frame) = self.static_pending.get_mut(*slot) {
                     frame.sender = *claim;
                     self.masquerades_applied += 1;
                 }
@@ -426,57 +619,47 @@ impl Bus {
         }
         // Only corruption targets go through the wire image: encode into
         // the reusable scratch buffer, XOR the staged masks, then decode
-        // like any receiver would.
-        let corrupt_slots: BTreeSet<SlotId> = faults
-            .iter()
-            .filter_map(|f| match f {
-                WireFault::CorruptStatic { slot, .. } if self.static_pending.contains_key(slot) => {
-                    Some(*slot)
-                }
-                _ => None,
-            })
-            .collect();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for &slot in &corrupt_slots {
-            let frame = self
-                .static_pending
-                .remove(&slot)
-                .expect("collected from pending keys above");
-            frame.encode_into(&mut scratch);
-            for f in &faults {
-                if let WireFault::CorruptStatic {
-                    slot: target,
-                    byte,
-                    mask,
-                } = f
-                {
-                    if *target == slot {
-                        let i = byte % scratch.len();
-                        scratch[i] ^= mask;
-                        if *mask != 0 {
-                            self.corruptions_applied += 1;
+        // like any receiver would. Untouched (and structurally
+        // masqueraded) frames skip the encode/decode round-trip entirely;
+        // the receiver-side identity check still applies to every
+        // delivered frame.
+        for s in 0..self.config.static_slots.len() {
+            let slot = SlotId(s as u8);
+            let Some(frame) = self.static_pending.get_mut(slot) else {
+                continue;
+            };
+            let corrupted = faults
+                .iter()
+                .any(|f| matches!(f, WireFault::CorruptStatic { slot: t, .. } if *t == slot));
+            if corrupted {
+                frame.encode_into(&mut self.scratch);
+                for f in &faults {
+                    if let WireFault::CorruptStatic {
+                        slot: target,
+                        byte,
+                        mask,
+                    } = f
+                    {
+                        if *target == slot {
+                            let i = byte % self.scratch.len();
+                            self.scratch[i] ^= mask;
+                            if *mask != 0 {
+                                self.corruptions_applied += 1;
+                            }
                         }
                     }
                 }
-            }
-            match Frame::decode(&scratch) {
-                Ok(f) => self.deliver_static(&mut delivery, slot, f),
-                Err(_) => {
+                if frame.decode_from(&self.scratch).is_err() {
+                    self.static_pending.remove(slot);
                     self.crc_rejects += 1;
                     delivery.rejected += 1;
+                    continue;
                 }
             }
-        }
-        self.scratch = scratch;
-        // Untouched (and structurally masqueraded) frames skip the encode/
-        // decode round-trip entirely; the receiver-side identity check
-        // still applies to every delivered frame.
-        for (slot, frame) in std::mem::take(&mut self.static_pending) {
-            self.deliver_static(&mut delivery, slot, frame);
+            self.deliver_static(delivery, slot);
         }
 
-        let mut dynamic = std::mem::take(&mut self.dynamic_pending);
-        dynamic.sort_by_key(|&(prio, _)| prio);
+        self.dynamic_pending.sort_by_key(|&(prio, _)| prio);
         let dynamic_faulted = faults.iter().any(|f| {
             matches!(
                 f,
@@ -488,7 +671,11 @@ impl Bus {
         if dynamic_faulted {
             // Rare path: replay the full wire behaviour on the encoded
             // images, rejections and all.
-            let mut images: Vec<Vec<u8>> = dynamic.into_iter().map(|(_, f)| f.encode()).collect();
+            let mut images: Vec<Vec<u8>> = self
+                .dynamic_pending
+                .drain(..)
+                .map(|(_, f)| f.encode())
+                .collect();
             Self::apply_dynamic_faults(&faults, &mut images);
             for bytes in images {
                 match Frame::decode(&bytes) {
@@ -502,18 +689,23 @@ impl Bus {
         } else {
             delivery
                 .dynamic_frames
-                .extend(dynamic.into_iter().map(|(_, f)| f));
+                .extend(self.dynamic_pending.drain(..).map(|(_, f)| f));
         }
+        faults.clear();
+        self.wire_faults = faults;
+        self.static_pending.clear();
         self.cycle += 1;
-        delivery
     }
 
     /// Receiver-side identity check: a well-formed frame whose sender is
     /// not the slot owner is a masquerade and must not enter any node's
     /// view.
-    fn deliver_static(&mut self, delivery: &mut CycleDelivery, slot: SlotId, frame: Frame) {
-        if self.config.static_slots.get(slot.0 as usize) == Some(&frame.sender) {
-            delivery.static_frames.insert(slot, frame);
+    fn deliver_static(&mut self, delivery: &mut CycleDelivery, slot: SlotId) {
+        let sender = self.static_pending[&slot].sender;
+        if self.config.static_slots.get(slot.0 as usize) == Some(&sender) {
+            delivery
+                .static_frames
+                .take_from(&mut self.static_pending, slot);
         } else {
             self.masquerade_rejects += 1;
             delivery.rejected += 1;

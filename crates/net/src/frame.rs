@@ -143,6 +143,18 @@ impl Frame {
     /// Returns a [`FrameError`] for truncation, length inconsistency or CRC
     /// failure — every corruption a receiver can see.
     pub fn decode(bytes: &[u8]) -> Result<Frame, FrameError> {
+        let mut frame = Frame::new(NodeId(0), SlotId(0), 0, Vec::new());
+        frame.decode_from(bytes)?;
+        Ok(frame)
+    }
+
+    /// [`Frame::decode`] into an existing frame, reusing its payload
+    /// allocation. On error the frame's contents are unspecified.
+    ///
+    /// # Errors
+    ///
+    /// As [`Frame::decode`].
+    pub(crate) fn decode_from(&mut self, bytes: &[u8]) -> Result<(), FrameError> {
         if bytes.len() < HEADER_BYTES + CRC_BYTES {
             return Err(FrameError::Truncated);
         }
@@ -159,16 +171,16 @@ impl Frame {
         if words.len() != len * 4 {
             return Err(FrameError::LengthMismatch);
         }
-        let payload = words
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-            .collect();
-        Ok(Frame {
-            sender,
-            slot,
-            cycle,
-            payload,
-        })
+        self.sender = sender;
+        self.slot = slot;
+        self.cycle = cycle;
+        self.payload.clear();
+        self.payload.extend(
+            words
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
+        );
+        Ok(())
     }
 }
 

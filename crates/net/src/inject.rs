@@ -487,18 +487,21 @@ impl NetFaultInjector {
     /// returns the nodes that must stay silent this cycle (crash or clock
     /// outage) in slot order.
     pub fn perturb_cycle(&mut self, bus: &mut Bus) -> Vec<NodeId> {
+        let mut silenced = Vec::new();
+        self.perturb_cycle_into(bus, &mut silenced);
+        silenced
+    }
+
+    /// [`NetFaultInjector::perturb_cycle`] writing the silenced nodes into
+    /// a caller-owned list (cleared first), so a caller that keeps the list
+    /// across cycles perturbs without allocating.
+    pub fn perturb_cycle_into(&mut self, bus: &mut Bus, silenced: &mut Vec<NodeId>) {
+        silenced.clear();
         let cycle = bus.cycle();
         self.last_resets.clear();
         // Scheduled blackouts fire first: a reset node is down from this
         // very cycle, before any stochastic per-node fate is drawn.
-        let due: Vec<BlackoutSpec> = self
-            .plan
-            .blackouts
-            .iter()
-            .filter(|spec| spec.at_cycle == cycle)
-            .cloned()
-            .collect();
-        for spec in due {
+        for spec in self.plan.blackouts.iter().filter(|s| s.at_cycle == cycle) {
             for &node in &spec.nodes {
                 let stagger = if spec.stagger == 0 {
                     0
@@ -516,9 +519,8 @@ impl NetFaultInjector {
             }
         }
         let active = self.plan.active_in(cycle);
-        let nodes: Vec<NodeId> = bus.config().static_slots.clone();
-        let mut silenced = Vec::new();
-        for node in nodes {
+        for s in 0..bus.config().static_slots.len() {
+            let node = bus.config().static_slots[s];
             let slot = bus.config().slot_of(node).expect("node owns a slot");
             if self.is_down(node, cycle) {
                 silenced.push(node);
@@ -598,7 +600,6 @@ impl NetFaultInjector {
                 bus.stage_wire_fault(WireFault::ReorderDynamic);
             }
         }
-        silenced
     }
 }
 

@@ -50,7 +50,7 @@ pub mod startup;
 pub mod sync;
 pub mod timing;
 
-pub use bus::{Bus, BusConfig, CycleDelivery, TransmitError, WireFault};
+pub use bus::{Bus, BusConfig, CycleDelivery, StaticFrames, TransmitError, WireFault};
 pub use frame::{Frame, FrameError, NodeId, SlotId};
 pub use inject::{BlackoutSpec, InjectionCounts, NetFaultInjector, NetFaultPlan, NetFaultRates};
 pub use membership::{clique_majority_threshold, CliqueVerdict, Membership, MembershipEvent};

@@ -170,6 +170,15 @@ impl Membership {
             .collect()
     }
 
+    /// Number of current members: `members().len()` without collecting
+    /// the list.
+    pub fn member_count(&self) -> usize {
+        self.states
+            .values()
+            .filter(|s| matches!(s, MemberState::Active { .. }))
+            .count()
+    }
+
     /// State of one node, if it owns a slot.
     pub fn state(&self, node: NodeId) -> Option<MemberState> {
         self.states.get(&node).copied()

@@ -51,35 +51,37 @@ impl DuplexPair {
     }
 }
 
-/// Result of selecting a value from a duplex pair in one cycle.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DuplexValue {
+/// Result of selecting a value from a duplex pair in one cycle. The
+/// payloads are borrowed from the [`CycleDelivery`] the value was selected
+/// from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DuplexValue<'a> {
     /// Both replicas delivered and agreed.
-    Agreed(Vec<u32>),
+    Agreed(&'a [u32]),
     /// Only one replica delivered (the other omitted / is down).
     Single {
         /// The replica that delivered.
         from: NodeId,
         /// Its payload.
-        payload: Vec<u32>,
+        payload: &'a [u32],
     },
     /// Both delivered but the payloads differ — replica determinism is
     /// broken or an error escaped a node's EDMs. Consumers must treat the
     /// pair as failed.
     Disagreement {
         /// Payload from replica `a`.
-        a: Vec<u32>,
+        a: &'a [u32],
         /// Payload from replica `b`.
-        b: Vec<u32>,
+        b: &'a [u32],
     },
     /// Neither replica delivered.
     Silent,
 }
 
-impl DuplexValue {
+impl<'a> DuplexValue<'a> {
     /// The usable payload, if any.
-    pub fn payload(&self) -> Option<&[u32]> {
-        match self {
+    pub fn payload(&self) -> Option<&'a [u32]> {
+        match *self {
             DuplexValue::Agreed(p) => Some(p),
             DuplexValue::Single { payload, .. } => Some(payload),
             DuplexValue::Disagreement { .. } | DuplexValue::Silent => None,
@@ -87,7 +89,7 @@ impl DuplexValue {
     }
 }
 
-impl fmt::Display for DuplexValue {
+impl fmt::Display for DuplexValue<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DuplexValue::Agreed(_) => write!(f, "agreed"),
@@ -99,34 +101,12 @@ impl fmt::Display for DuplexValue {
 }
 
 /// Selects the duplex pair's value from one cycle's delivery.
-pub fn select_duplex(
+pub fn select_duplex<'a>(
     config: &BusConfig,
-    delivery: &CycleDelivery,
+    delivery: &'a CycleDelivery,
     pair: DuplexPair,
-) -> DuplexValue {
-    let fa = delivery.from_node(config, pair.a);
-    let fb = delivery.from_node(config, pair.b);
-    match (fa, fb) {
-        (Some(x), Some(y)) => {
-            if x.payload == y.payload {
-                DuplexValue::Agreed(x.payload.clone())
-            } else {
-                DuplexValue::Disagreement {
-                    a: x.payload.clone(),
-                    b: y.payload.clone(),
-                }
-            }
-        }
-        (Some(x), None) => DuplexValue::Single {
-            from: pair.a,
-            payload: x.payload.clone(),
-        },
-        (None, Some(y)) => DuplexValue::Single {
-            from: pair.b,
-            payload: y.payload.clone(),
-        },
-        (None, None) => DuplexValue::Silent,
-    }
+) -> DuplexValue<'a> {
+    select_duplex_among(config, delivery, pair, |_| true)
 }
 
 /// Selects the duplex pair's value considering only replicas that
@@ -134,12 +114,12 @@ pub fn select_duplex(
 /// or freshly restarted and not yet reintegrated — may transmit with stale
 /// state; consumers must not let it poison the pair, so its frames are
 /// treated as silence.
-pub fn select_duplex_among(
+pub fn select_duplex_among<'a>(
     config: &BusConfig,
-    delivery: &CycleDelivery,
+    delivery: &'a CycleDelivery,
     pair: DuplexPair,
     is_member: impl Fn(NodeId) -> bool,
-) -> DuplexValue {
+) -> DuplexValue<'a> {
     let fa = delivery
         .from_node(config, pair.a)
         .filter(|_| is_member(pair.a));
@@ -149,21 +129,21 @@ pub fn select_duplex_among(
     match (fa, fb) {
         (Some(x), Some(y)) => {
             if x.payload == y.payload {
-                DuplexValue::Agreed(x.payload.clone())
+                DuplexValue::Agreed(&x.payload)
             } else {
                 DuplexValue::Disagreement {
-                    a: x.payload.clone(),
-                    b: y.payload.clone(),
+                    a: &x.payload,
+                    b: &y.payload,
                 }
             }
         }
         (Some(x), None) => DuplexValue::Single {
             from: pair.a,
-            payload: x.payload.clone(),
+            payload: &x.payload,
         },
         (None, Some(y)) => DuplexValue::Single {
             from: pair.b,
-            payload: y.payload.clone(),
+            payload: &y.payload,
         },
         (None, None) => DuplexValue::Silent,
     }
@@ -413,10 +393,7 @@ mod tests {
         bus.transmit_static(NodeId(0), vec![42]).unwrap();
         bus.transmit_static(NodeId(1), vec![42]).unwrap();
         let d = bus.finish_cycle();
-        assert_eq!(
-            select_duplex(&config, &d, pair),
-            DuplexValue::Agreed(vec![42])
-        );
+        assert_eq!(select_duplex(&config, &d, pair), DuplexValue::Agreed(&[42]));
     }
 
     #[test]
@@ -430,7 +407,7 @@ mod tests {
             v,
             DuplexValue::Single {
                 from: NodeId(1),
-                payload: vec![7]
+                payload: &[7]
             }
         );
         assert_eq!(v.payload(), Some(&[7u32][..]));
@@ -544,7 +521,7 @@ mod tests {
             v,
             DuplexValue::Single {
                 from: NodeId(1),
-                payload: vec![2]
+                payload: &[2]
             }
         );
         // With both members it is the usual disagreement.

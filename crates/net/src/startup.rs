@@ -376,10 +376,8 @@ impl StartupProtocol {
 
         let mut events = Vec::new();
         let mut big_bang: Option<Vec<NodeId>> = None;
-        let ids: Vec<NodeId> = self.nodes.keys().copied().collect();
-        for node in ids {
+        for (&node, entry) in self.nodes.iter_mut() {
             let timeout = self.config.timeout_of(node);
-            let entry = self.nodes.get_mut(&node).expect("unknown startup node");
             match entry.state {
                 StartupState::PoweredDown { until_listen } => {
                     // Deaf while resetting: only the power-up countdown

@@ -112,11 +112,14 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Because the byte stream is word-aligned by construction, this is the
 /// pure word-at-a-time path — no per-byte tail.
 pub fn crc32_words(words: &[u32]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &w in words {
-        crc = step_word(crc, w);
-    }
-    !crc
+    crc32_word_stream(words.iter().copied())
+}
+
+/// [`crc32_words`] over a word stream, so a CRC over words that are not
+/// contiguous in memory (a header word followed by a payload slice, say)
+/// needs no concatenated copy.
+pub fn crc32_word_stream(words: impl IntoIterator<Item = u32>) -> u32 {
+    !words.into_iter().fold(0xFFFF_FFFFu32, step_word)
 }
 
 #[cfg(test)]
@@ -154,6 +157,13 @@ mod tests {
     fn empty_input() {
         assert_eq!(crc32(&[]), crc32_bitwise(&[]));
         assert_eq!(crc32_words(&[]), crc32(&[]));
+    }
+
+    #[test]
+    fn word_stream_matches_contiguous_words() {
+        let payload = [0x4B0, 7, 0xDEAD_BEEF];
+        let stream = crc32_word_stream(std::iter::once(42).chain(payload.iter().copied()));
+        assert_eq!(stream, crc32_words(&[42, 0x4B0, 7, 0xDEAD_BEEF]));
     }
 
     #[test]

@@ -3,19 +3,24 @@
 #
 #   scripts/perf_ab.sh <rev> <workload> [pairs=10] [seconds=5]
 #
-# Builds <rev>'s perfbench in a git worktree under target/perf_ab/<sha>/
-# (remove it with `git worktree remove`), builds the working tree's
-# perfbench, then runs `pairs` pairs of one base and one change run at
-# seed 0 and 2 workers, swapping which side runs first every pair. The
-# host is noisy, so only alternating pairs make a before/after claim.
+# Extracts <rev> with `git archive` under target/perf_ab/<sha>/src and
+# builds its perfbench there, builds the working tree's perfbench, then
+# runs `pairs` pairs of one base and one change run at seed 0 and 2
+# workers, swapping which side runs first every pair. The host is noisy,
+# so only alternating pairs make a before/after claim.
 #
-# Prints each pair's trials_per_s, the median of every end-to-end metric on
-# each side, the base's interquartile range of trials_per_s, and how many
-# pairs the change won on trials_per_s. A gain is claimed only when the
-# change wins at least 9 of 10 pairs and the median gap exceeds the base's
-# interquartile range. Exits
-# non-zero if any run's last line lacks "failed":0 (the oracle rejected a
-# campaign digest).
+# Prints each pair's trials_per_s, the median of every metric on each
+# side, the base's interquartile range of trials_per_s and the pairs the
+# change won and lost (ties count for neither). Then one line per
+# end-to-end metric of BENCHMARK.json: change/base of the medians against
+# the metric's bound, marked "within bound", "regressed" (worse than base
+# by more than the bound) or "unresolved" (the base's own interquartile
+# range, relative to its median, is wider than the bound). The last line
+# states the verdict on trials_per_s: "claim met" when the change won at
+# least 9 in 10 pairs and its median beats the base's by more than the
+# base's interquartile range, "claim not met" otherwise. Exits non-zero
+# if any run's last line lacks "failed":0 (the oracle rejected a campaign
+# digest).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,11 +36,11 @@ seconds="${4:-5}"
 sha="$(git rev-parse --verify "$rev^{commit}")"
 root="$PWD"
 out="$root/target/perf_ab/$sha"
-# The worktree stays: perfbench reads the zoo from its own source tree.
+# The extracted tree stays: perfbench reads the zoo from its own source.
 src="$out/src"
 if [[ ! -d "$src" ]]; then
-    git worktree prune
-    git worktree add --detach "$src" "$sha" >/dev/null
+    mkdir -p "$src"
+    git archive "$sha" | tar -x -C "$src"
 fi
 CARGO_TARGET_DIR="$out/target" cargo build --quiet --release --offline \
     --manifest-path "$src/perfbench/Cargo.toml"
@@ -71,6 +76,7 @@ quartiles() {
 }
 
 wins=0
+losses=0
 echo "$workload: base ${sha:0:12} vs working tree, $pairs pairs of ${seconds}s"
 for ((i = 1; i <= pairs; i++)); do
     # Swap which side runs first every pair.
@@ -83,10 +89,12 @@ for ((i = 1; i <= pairs; i++)); do
     fi
     b="$(metric "$logs/base.$i.json" trials_per_s)"
     c="$(metric "$logs/change.$i.json" trials_per_s)"
-    won="$(awk -v b="$b" -v c="$c" 'BEGIN { print (c > b) ? 1 : 0 }')"
-    wins=$((wins + won))
-    printf 'pair %2d  trials_per_s  base %10.1f  change %10.1f  %s\n' \
-        "$i" "$b" "$c" "$([[ $won == 1 ]] && echo won || echo lost)"
+    verdict="$(awk -v b="$b" -v c="$c" 'BEGIN { print (c > b) ? "won" : (c < b) ? "lost" : "tied" }')"
+    case "$verdict" in
+        won) wins=$((wins + 1)) ;;
+        lost) losses=$((losses + 1)) ;;
+    esac
+    printf 'pair %2d  trials_per_s  base %10.1f  change %10.1f  %s\n' "$i" "$b" "$c" "$verdict"
 done
 
 names="$(grep -o '"[a-z0-9_]*":{"value"' "$logs/base.1.json" | cut -d'"' -f2)"
@@ -98,4 +106,33 @@ for name in $names; do
 done
 read -r q1 q3 < <(for ((i = 1; i <= pairs; i++)); do metric "$logs/base.$i.json" trials_per_s; done | quartiles)
 printf 'base trials_per_s interquartile range %.1f .. %.1f (%.1f)\n' "$q1" "$q3" "$(awk -v a="$q1" -v b="$q3" 'BEGIN { print b - a }')"
-echo "change won $wins of $pairs pairs on trials_per_s"
+echo "change won $wins and lost $losses of $pairs pairs on trials_per_s"
+
+# `end_to_end` prints "<name> <better> <bound>" for every end-to-end metric
+# BENCHMARK.json declares, one per line.
+end_to_end() {
+    awk '/"end_to_end"/ { on = 1; next } on && /\]/ { exit } on' BENCHMARK.json |
+        sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([^"]*\)".*"bound": *\([0-9.eE+-]*\).*/\1 \2 \3/p'
+}
+while read -r name better bound; do
+    mb="$(for ((i = 1; i <= pairs; i++)); do metric "$logs/base.$i.json" "$name"; done | median)"
+    mc="$(for ((i = 1; i <= pairs; i++)); do metric "$logs/change.$i.json" "$name"; done | median)"
+    read -r b1 b3 < <(for ((i = 1; i <= pairs; i++)); do metric "$logs/base.$i.json" "$name"; done | quartiles)
+    awk -v n="$name" -v better="$better" -v bound="$bound" -v mb="$mb" -v mc="$mc" -v q1="$b1" -v q3="$b3" 'BEGIN {
+        ratio = (mb != 0) ? mc / mb : 1
+        spread = (mb != 0) ? (q3 - q1) / mb : 0
+        worse = (better == "higher") ? 1 - ratio : ratio - 1
+        mark = (spread > bound) ? "unresolved" : (worse > bound) ? "regressed" : "within bound"
+        printf "end-to-end %-14s change/base %.3f  bound %.2f  base spread %.3f  %s\n", n, ratio, bound, spread, mark
+    }'
+done < <(end_to_end)
+
+# The claim rule on trials_per_s: at least 9 wins in 10 pairs, and a median
+# gain wider than the base's interquartile range.
+mb="$(for ((i = 1; i <= pairs; i++)); do metric "$logs/base.$i.json" trials_per_s; done | median)"
+mc="$(for ((i = 1; i <= pairs; i++)); do metric "$logs/change.$i.json" trials_per_s; done | median)"
+awk -v w="$wins" -v n="$pairs" -v mb="$mb" -v mc="$mc" -v q1="$q1" -v q3="$q3" 'BEGIN {
+    met = (w * 10 >= 9 * n) && (mc - mb > q3 - q1)
+    printf "%s: won %d of %d pairs (need 9 in 10), median gap %.1f vs base interquartile range %.1f\n",
+        met ? "claim met" : "claim not met", w, n, mc - mb, q3 - q1
+}'
