@@ -357,9 +357,9 @@ pub const HOURS_PER_YEAR: f64 = 8_760.0;
 /// Value-domain parameters extending the Fig. 5 fault tree: failure
 /// rates of the pedal-sensor channels and wheel actuators, and the
 /// *measured* detection coverage of the value-domain layers (voter +
-/// plausibility, divergence monitor) — the `c_v` that
-/// [`crate::value_campaign::ValueDomainCampaignResult::detection_coverage`]
-/// estimates by experiment instead of assuming.
+/// plausibility, divergence monitor) — the `c_v` that the
+/// [`crate::value_campaign`] family estimates by experiment (one minus
+/// its share of `undetected` trials) instead of assuming.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValueDomainParams {
     /// Failure rate of one pedal-sensor channel (per hour).

@@ -16,12 +16,16 @@
 //! * the startup protocol's own health: big-bang collision rounds,
 //!   minority-clique reverts, and — critically — that reverted nodes
 //!   never babble (zero guardian blocks).
+//!
+//! This is the `blackout` scenario family; runs go through
+//! [`crate::scenario::run_scenario`].
 
 use nlft_net::frame::NodeId;
 use nlft_net::inject::{BlackoutSpec, NetFaultPlan};
 use nlft_sim::rng::RngStream;
 
 use crate::cluster::{BbwCluster, ALL_NODES, WHEELS};
+use crate::tally::{Fold, Shape, Tally};
 
 /// Configuration of a blackout-survival campaign.
 #[derive(Debug, Clone)]
@@ -30,8 +34,6 @@ pub struct BlackoutCampaignConfig {
     pub trials: u64,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads; results are identical for any value.
-    pub threads: usize,
     /// Healthy cycles before the blackout strikes (must be ≥ 2 so the
     /// clique-avoidance check has armed on real majority traffic).
     pub warmup_cycles: u32,
@@ -58,7 +60,6 @@ impl BlackoutCampaignConfig {
         BlackoutCampaignConfig {
             trials,
             seed,
-            threads: 1,
             warmup_cycles: 6,
             recovery_cycles: 40,
             down_cycles: 2,
@@ -68,173 +69,23 @@ impl BlackoutCampaignConfig {
         }
     }
 
-    /// The deterministic worst case: every node (CUs included) resets in
-    /// the same slot with zero stagger — the cluster must cold-start from
-    /// total silence. Every trial is identical, which is exactly what the
-    /// analytic cross-check wants.
-    pub fn full_blackout(trials: u64, seed: u64) -> Self {
-        BlackoutCampaignConfig {
-            stagger: 0,
-            min_reset: ALL_NODES.len(),
-            ..BlackoutCampaignConfig::new(trials, seed)
-        }
-    }
-}
-
-/// Everything a blackout campaign measures. All latency vectors are
-/// sorted; counters are summed across trials.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BlackoutCampaignResult {
-    /// Trials run.
-    pub trials: u64,
-    /// Trials in which the membership view returned to all six nodes.
-    pub full_recoveries: u64,
-    /// Trials that needed a cold-start contention (a winning cold-start
-    /// frame was observed) rather than plain listening reintegration.
-    pub cold_start_trials: u64,
-    /// Cold-start frames put on the bus across all trials.
-    pub cold_starts_sent: u64,
-    /// Big-bang collision rounds (≥ 2 simultaneous cold-start frames).
-    pub big_bangs: u64,
-    /// Active nodes that reverted on seeing only a minority clique.
-    pub clique_reverts: u64,
-    /// Guardian blocks across all trials. The startup protocol keeps
-    /// listening/reverted nodes silent *by construction*, so this must
-    /// stay zero: clique avoidance never degenerates into babbling.
-    pub guardian_blocks: u64,
-    /// Cycles wheels braked on held last-safe set-points across all
-    /// trials — the value-domain bridge over the command blackout.
-    pub held_setpoint_cycles: u64,
-    /// Per cold-start trial: cycles from the blackout to the first
-    /// winning cold-start frame.
-    pub time_to_cold_start: Vec<u32>,
-    /// Per recovered trial: cycles from the blackout until the
-    /// membership view was whole again.
-    pub time_to_full_membership: Vec<u32>,
-    /// Per trial: post-blackout cycles with fewer than three wheels
-    /// delivering force (the braking-unavailability window).
-    pub unavailability_cycles: Vec<u32>,
-    /// Every node's reset→Active integration latency, across all trials.
-    pub integration_latencies: Vec<u32>,
-}
-
-impl BlackoutCampaignResult {
-    /// Fraction of trials whose membership view fully recovered.
-    pub fn recovery_fraction(&self) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.full_recoveries as f64 / self.trials as f64
-        }
+    /// Cycles per trial: the warm-up plus the recovery window. Every
+    /// latency the family measures is at most this.
+    pub(crate) fn span(&self) -> u32 {
+        self.warmup_cycles + self.recovery_cycles
     }
 
-    /// Mean reset→Active integration latency in cycles.
-    pub fn integration_latency_mean(&self) -> f64 {
-        if self.integration_latencies.is_empty() {
-            return 0.0;
-        }
-        let sum: u64 = self
-            .integration_latencies
-            .iter()
-            .map(|&l| u64::from(l))
-            .sum();
-        sum as f64 / self.integration_latencies.len() as f64
-    }
-
-    /// Percentile of the time-to-full-membership distribution (0–100).
-    pub fn membership_percentile(&self, pct: u32) -> Option<u32> {
-        if self.time_to_full_membership.is_empty() {
-            return None;
-        }
-        let n = self.time_to_full_membership.len();
-        let idx = ((n - 1) * pct as usize) / 100;
-        Some(self.time_to_full_membership[idx])
-    }
-
-    fn merge(&mut self, other: BlackoutCampaignResult) {
-        self.trials += other.trials;
-        self.full_recoveries += other.full_recoveries;
-        self.cold_start_trials += other.cold_start_trials;
-        self.cold_starts_sent += other.cold_starts_sent;
-        self.big_bangs += other.big_bangs;
-        self.clique_reverts += other.clique_reverts;
-        self.guardian_blocks += other.guardian_blocks;
-        self.held_setpoint_cycles += other.held_setpoint_cycles;
-        self.time_to_cold_start.extend(other.time_to_cold_start);
-        self.time_to_full_membership
-            .extend(other.time_to_full_membership);
-        self.unavailability_cycles
-            .extend(other.unavailability_cycles);
-        self.integration_latencies
-            .extend(other.integration_latencies);
-    }
-}
-
-/// Runs the blackout campaign. Deterministic in the seed and invariant
-/// in the thread count: every trial forks its own stream from
-/// `(seed, trial index)` and all distributions are sorted before being
-/// returned.
-///
-/// # Panics
-///
-/// Panics if `trials` is zero, `warmup_cycles < 2`, `recovery_cycles`
-/// is zero, `down_cycles` is zero, or `min_reset` is outside
-/// `1..=pool size`.
-pub fn run_blackout_campaign(config: &BlackoutCampaignConfig) -> BlackoutCampaignResult {
-    assert!(config.trials > 0, "need trials");
-    assert!(
-        config.warmup_cycles >= 2,
-        "clique avoidance needs two warm-up cycles to arm"
-    );
-    assert!(config.recovery_cycles > 0, "need a recovery window");
-    assert!(config.down_cycles > 0, "a blackout lasts at least 1 cycle");
-    let pool_size = if config.include_cus {
-        ALL_NODES.len()
-    } else {
-        WHEELS.len()
-    };
-    assert!(
-        (1..=pool_size).contains(&config.min_reset),
-        "min_reset must be in 1..={pool_size}"
-    );
-    let c = config.clone();
-    let campaign = nlft_engine::indexed_campaign(
-        "bbw-blackout",
-        "blackout-trial",
-        config.trials,
-        BlackoutCampaignResult::default,
-        move |trial, _ctx, result: &mut BlackoutCampaignResult| {
-            result.merge(run_blackout_shard(&c, trial, trial + 1));
-        },
-        |into, from| into.merge(from),
-    );
-    let engine = nlft_engine::EngineConfig::with_workers(config.threads.max(1));
-    let mut result = nlft_engine::run_trials(campaign, &engine).acc;
-    result.time_to_cold_start.sort_unstable();
-    result.time_to_full_membership.sort_unstable();
-    result.unavailability_cycles.sort_unstable();
-    result.integration_latencies.sort_unstable();
-    result
-}
-
-fn run_blackout_shard(
-    config: &BlackoutCampaignConfig,
-    start: u64,
-    end: u64,
-) -> BlackoutCampaignResult {
-    let root = RngStream::new(config.seed);
-    let mut result = BlackoutCampaignResult::default();
-    let blackout_at = config.warmup_cycles;
-    let total_cycles = config.warmup_cycles + config.recovery_cycles;
-    for trial in start..end {
-        let mut rng = root.fork_indexed("blackout-trial", trial);
-        let mut pool: Vec<NodeId> = if config.include_cus {
+    /// Runs trial `trial` into `t`.
+    pub(crate) fn run_trial(&self, trial: u64, t: &mut Tally) {
+        let mut rng = RngStream::new(self.seed).fork_indexed(BLACKOUT.rng_label, trial);
+        let blackout_at = self.warmup_cycles;
+        let mut pool: Vec<NodeId> = if self.include_cus {
             ALL_NODES.to_vec()
         } else {
             WHEELS.to_vec()
         };
-        let spread = (pool.len() - config.min_reset) as u64;
-        let k = config.min_reset + rng.uniform_range(0, spread + 1) as usize;
+        let spread = (pool.len() - self.min_reset) as u64;
+        let k = self.min_reset + rng.uniform_range(0, spread + 1) as usize;
         // Partial Fisher–Yates: the first k entries become the victims.
         for i in 0..k {
             let j = i + rng.uniform_range(0, (pool.len() - i) as u64) as usize;
@@ -247,29 +98,14 @@ fn run_blackout_shard(
         let plan = NetFaultPlan::quiet().with_blackout(BlackoutSpec {
             at_cycle: blackout_at,
             nodes: pool,
-            down_cycles: config.down_cycles,
-            stagger: config.stagger,
+            down_cycles: self.down_cycles,
+            stagger: self.stagger,
         });
         cluster.attach_net_faults(plan, rng.fork("net-injector"));
-        let report = cluster.run(total_cycles, |_| 1200);
+        let report = cluster.run(self.span(), |_| 1200);
         let metrics = cluster
             .startup_metrics()
-            .expect("startup enabled for blackout trials")
-            .clone();
-
-        result.trials += 1;
-        result.cold_starts_sent += u64::from(metrics.cold_starts_sent);
-        result.big_bangs += u64::from(metrics.big_bangs);
-        result.clique_reverts += u64::from(metrics.clique_reverts);
-        result.guardian_blocks += report.guardian_blocks;
-        result.held_setpoint_cycles += u64::from(report.value.held_setpoint_cycles);
-        if let Some(cycle) = metrics.first_cold_start_cycle {
-            result.cold_start_trials += 1;
-            result.time_to_cold_start.push(cycle - blackout_at);
-        }
-        result
-            .integration_latencies
-            .extend(metrics.integration_latencies.iter().map(|&(_, l)| l));
+            .expect("startup enabled for blackout trials");
 
         let mut dipped = false;
         let mut recovered_at = None;
@@ -288,19 +124,78 @@ fn run_blackout_shard(
                 recovered_at = Some(rec.cycle);
             }
         }
-        if let Some(cycle) = recovered_at {
-            result.full_recoveries += 1;
-            result.time_to_full_membership.push(cycle - blackout_at);
+        let to_membership = recovered_at.map(|cycle| cycle - blackout_at);
+        let to_cold_start = metrics.first_cold_start_cycle.map(|c| c - blackout_at);
+        t.trial(
+            if to_membership.is_some() {
+                "full_recoveries"
+            } else {
+                "incomplete"
+            },
+            &[
+                ("cold_start_trials", u64::from(to_cold_start.is_some())),
+                ("cold_starts_sent", u64::from(metrics.cold_starts_sent)),
+                ("big_bangs", u64::from(metrics.big_bangs)),
+                ("clique_reverts", u64::from(metrics.clique_reverts)),
+                ("guardian_blocks", report.guardian_blocks),
+                (
+                    "held_setpoint_cycles",
+                    u64::from(report.value.held_setpoint_cycles),
+                ),
+                ("membership_cycles", to_membership.map_or(0, u64::from)),
+                ("unavailability_cycles", u64::from(unavailable)),
+            ],
+            &[],
+        );
+        if let Some(cycles) = to_cold_start {
+            t.observe(0, cycles);
         }
-        result.unavailability_cycles.push(unavailable);
+        if let Some(cycles) = to_membership {
+            t.observe(1, cycles);
+        }
+        t.observe(2, unavailable);
+        for &(_, latency) in &metrics.integration_latencies {
+            t.observe(3, latency);
+        }
     }
-    result
 }
+
+/// The `blackout` family's outcome shape. A trial is a full recovery
+/// when its membership view returned to all six nodes, `incomplete`
+/// otherwise. Distributions: per cold-start trial, cycles from the
+/// blackout to the first winning cold-start frame; per recovered trial,
+/// cycles until the view was whole again; per trial, post-blackout
+/// cycles with fewer than three wheels braking; and every node's
+/// reset→Active integration latency.
+pub(crate) const BLACKOUT: Shape = Shape {
+    family: "blackout",
+    campaign: "bbw-blackout",
+    rng_label: "blackout-trial",
+    verdicts: &["full_recoveries", "incomplete"],
+    metrics: &[
+        ("cold_start_trials", Fold::Sum),
+        ("cold_starts_sent", Fold::Sum),
+        ("big_bangs", Fold::Sum),
+        ("clique_reverts", Fold::Sum),
+        ("guardian_blocks", Fold::Sum),
+        ("held_setpoint_cycles", Fold::Sum),
+        ("membership_cycles", Fold::Sum),
+        ("unavailability_cycles", Fold::Sum),
+    ],
+    details: &[],
+    distributions: &[
+        "time_to_cold_start",
+        "time_to_full_membership",
+        "unavailability_cycles",
+        "integration_latencies",
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::{CU_A, CU_B};
+    use crate::scenario::{run_params, ScenarioOutcome};
     use nlft_core::diagnosis::AlphaCountConfig;
     use nlft_kernel::escalation::{EscalationEvent, EscalationPolicy};
     use nlft_machine::fault::{FaultTarget, IntermittentFault, TransientFault};
@@ -371,6 +266,19 @@ mod tests {
         );
     }
 
+    fn campaign(trials: u64, seed: u64, params: &str, threads: usize) -> ScenarioOutcome {
+        run_params("blackout", trials, seed, params, threads)
+    }
+
+    /// A distribution's observations, sorted.
+    fn values(r: &ScenarioOutcome, distribution: &str) -> Vec<u32> {
+        let h = r.distribution(distribution).unwrap();
+        (0u32..)
+            .zip(h.bins())
+            .flat_map(|(v, &n)| std::iter::repeat_n(v, n as usize))
+            .collect()
+    }
+
     #[test]
     fn full_blackout_cold_starts_within_the_deterministic_bound() {
         // All six nodes reset at cycle 6 for exactly 2 cycles. The
@@ -378,25 +286,28 @@ mod tests {
         // at cycle 6 + 2 + 4 = 12 and the membership view must be whole
         // again three cycles later: marker at 12, set-points at 13,
         // wheels back at 14, readmission complete at 15.
-        let cfg = BlackoutCampaignConfig::full_blackout(3, 0xB1AC);
-        let r = run_blackout_campaign(&cfg);
+        let r = campaign(3, 0xB1AC, "stagger 0\nmin_reset 6", 1);
+        let c = |name| r.counter(name).unwrap();
         assert_eq!(r.trials, 3);
-        assert_eq!(r.cold_start_trials, 3, "{r:?}");
-        assert_eq!(r.full_recoveries, 3, "{r:?}");
-        assert_eq!(r.big_bangs, 0, "unique timeouts cannot collide: {r:?}");
-        assert_eq!(r.guardian_blocks, 0, "startup nodes must not babble");
+        assert_eq!(c("cold_start_trials"), 3, "{r:?}");
+        assert_eq!(c("full_recoveries"), 3, "{r:?}");
+        assert_eq!(c("big_bangs"), 0, "unique timeouts cannot collide: {r:?}");
+        assert_eq!(c("guardian_blocks"), 0, "startup nodes must not babble");
         assert!(
-            r.time_to_cold_start.iter().all(|&t| t == 6),
+            values(&r, "time_to_cold_start").iter().all(|&t| t == 6),
             "cold start must land at down + fastest timeout: {r:?}"
         );
         assert!(
-            r.time_to_full_membership.iter().all(|&t| t == 9),
+            values(&r, "time_to_full_membership")
+                .iter()
+                .all(|&t| t == 9),
             "membership must be whole three cycles after the marker: {r:?}"
         );
         // Every node of every trial integrates with the same latency in
         // a zero-stagger full blackout.
-        assert_eq!(r.integration_latencies.len(), 18);
-        assert!(r.integration_latencies.iter().all(|&l| l == 9), "{r:?}");
+        let integration = values(&r, "integration_latencies");
+        assert_eq!(integration.len(), 18);
+        assert!(integration.iter().all(|&l| l == 9), "{r:?}");
     }
 
     #[test]
@@ -523,34 +434,31 @@ mod tests {
 
     #[test]
     fn blackout_campaign_identical_across_thread_counts() {
-        let mut cfg = BlackoutCampaignConfig::new(10, 0xB1AC_0007);
-        cfg.threads = 1;
-        let one = run_blackout_campaign(&cfg);
-        cfg.threads = 2;
-        let two = run_blackout_campaign(&cfg);
-        cfg.threads = 5;
-        let five = run_blackout_campaign(&cfg);
+        let one = campaign(10, 0xB1AC_0007, "", 1);
+        let two = campaign(10, 0xB1AC_0007, "", 2);
+        let five = campaign(10, 0xB1AC_0007, "", 5);
         assert_eq!(one, two, "2 threads diverged from 1");
         assert_eq!(one, five, "5 threads diverged from 1");
         // Golden pin: any change to the RNG fork labels, the blackout
         // draw order, the startup protocol's transitions or the
         // cluster's cycle structure shows up here.
+        let c = |name| one.counter(name).unwrap();
         assert_eq!(
             (
                 one.trials,
-                one.full_recoveries,
-                one.cold_start_trials,
-                one.big_bangs,
-                one.clique_reverts,
-                one.guardian_blocks
+                c("full_recoveries"),
+                c("cold_start_trials"),
+                c("big_bangs"),
+                c("clique_reverts"),
+                c("guardian_blocks")
             ),
             (10, 10, 9, 8, 12, 0),
             "golden blackout outcome moved: {one:?}"
         );
         assert_eq!(
             (
-                one.time_to_full_membership.clone(),
-                one.unavailability_cycles.clone()
+                values(&one, "time_to_full_membership"),
+                values(&one, "unavailability_cycles")
             ),
             (
                 vec![6, 8, 9, 9, 10, 12, 13, 13, 16, 19],

@@ -1,110 +1,26 @@
-//! Distributed fault-injection campaigns over the executable cluster.
+//! Distributed fault injection over the executable cluster: the
+//! `net_storm` scenario family.
 //!
 //! The node-level campaigns of `nlft-core` classify outcomes at the node
-//! boundary; this campaign closes the loop at the *system* boundary: inject
-//! machine-level transients into random nodes of the running six-node BBW
-//! cluster and observe what the vehicle sees — nothing, a degraded-mode
-//! episode, or lost braking. With TEM doing its job, the overwhelming
-//! majority of faults must be invisible at this level.
+//! boundary; this family closes the loop at the *system* boundary: every
+//! node takes a network storm (corruption, omission, crash, babbling
+//! idiot, masquerade, clock glitch), optionally with a machine-level
+//! transient in a random node riding along, and each trial is judged by
+//! what the vehicle sees — nothing, an omission, a degraded-mode
+//! episode, lost braking or a split membership. Its metrics are the
+//! *measured* bus-level coverage parameters (CRC rejects per applied
+//! corruption, guardian blocks per babble, identity rejects per applied
+//! masquerade) that the analytic models otherwise take as inputs.
+//!
+//! Runs go through [`crate::scenario::run_scenario`]; this module holds
+//! the compiled configuration and the per-trial function.
 
 use nlft_machine::fault::FaultSpace;
-use nlft_net::inject::{InjectionCounts, NetFaultPlan, NetFaultRates};
+use nlft_net::inject::{NetFaultPlan, NetFaultRates};
 use nlft_sim::rng::RngStream;
 
-use crate::cluster::{BbwCluster, ClusterInjection, ALL_NODES};
-
-/// Configuration of a cluster-level campaign.
-#[derive(Debug, Clone)]
-pub struct ClusterCampaignConfig {
-    /// Number of independent cluster runs, one injection each.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-    /// Communication cycles per run.
-    pub cycles: u32,
-    /// Fault space sampled for each injection.
-    pub space: FaultSpace,
-}
-
-impl ClusterCampaignConfig {
-    /// A standard campaign: CPU-only single-bit transients.
-    pub fn new(trials: u64, seed: u64) -> Self {
-        ClusterCampaignConfig {
-            trials,
-            seed,
-            cycles: 10,
-            space: FaultSpace::cpu_only(),
-        }
-    }
-}
-
-/// System-boundary outcome classification.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClusterCampaignResult {
-    /// Trials run.
-    pub trials: u64,
-    /// No externally visible effect at all.
-    pub unaffected: u64,
-    /// At least one omitted slot, but full membership throughout.
-    pub omission_only: u64,
-    /// A degraded-mode episode (membership dropped, force redistributed).
-    pub degraded_episode: u64,
-    /// Braking service lost.
-    pub service_lost: u64,
-}
-
-impl ClusterCampaignResult {
-    /// Fraction of faults invisible at the vehicle boundary.
-    pub fn masking_fraction(&self) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.unaffected as f64 / self.trials as f64
-        }
-    }
-}
-
-/// Runs the campaign. Deterministic in the seed.
-///
-/// # Panics
-///
-/// Panics if `trials` or `cycles` is zero.
-pub fn run_cluster_campaign(config: &ClusterCampaignConfig) -> ClusterCampaignResult {
-    assert!(config.trials > 0, "need trials");
-    assert!(config.cycles > 1, "need at least two cycles");
-    let root = RngStream::new(config.seed);
-    let mut result = ClusterCampaignResult {
-        trials: config.trials,
-        ..ClusterCampaignResult::default()
-    };
-    for trial in 0..config.trials {
-        let mut rng = root.fork_indexed("cluster-trial", trial);
-        let node = ALL_NODES[rng.uniform_range(0, ALL_NODES.len() as u64) as usize];
-        // Cycle ≥ 1 so wheel victims are actually executing (set-points
-        // arrive after the first cycle).
-        let cycle = rng.uniform_range(1, u64::from(config.cycles) - 1) as u32;
-        let injection = ClusterInjection {
-            cycle,
-            node,
-            copy: rng.uniform_range(0, 2) as u32,
-            at_cycle: rng.uniform_range(1, 40),
-            fault: config.space.sample(&mut rng),
-        };
-        let mut cluster = BbwCluster::new();
-        cluster.inject(injection);
-        let report = cluster.run(config.cycles, |_| 1200);
-        if report.service_lost {
-            result.service_lost += 1;
-        } else if report.degraded_cycles > 0 {
-            result.degraded_episode += 1;
-        } else if report.omissions > 0 {
-            result.omission_only += 1;
-        } else {
-            result.unaffected += 1;
-        }
-    }
-    result
-}
+use crate::cluster::{BbwCluster, ClusterInjection, ClusterReport, ALL_NODES};
+use crate::tally::{Fold, Shape, Tally};
 
 /// Configuration of a combined node + network storm campaign.
 #[derive(Debug, Clone)]
@@ -115,8 +31,6 @@ pub struct NetStormCampaignConfig {
     pub seed: u64,
     /// Communication cycles per run.
     pub cycles: u32,
-    /// Worker threads; results are identical for any value.
-    pub threads: usize,
     /// Storm intensity in `[0, 1]`, scaling [`NetFaultRates::storm`] on
     /// every node.
     pub intensity: f64,
@@ -132,7 +46,6 @@ impl NetStormCampaignConfig {
             trials,
             seed,
             cycles: 30,
-            threads: 1,
             intensity: 0.3,
             with_node_faults: true,
         }
@@ -146,152 +59,15 @@ impl NetStormCampaignConfig {
             .with_nodes(&ALL_NODES, NetFaultRates::storm(self.intensity))
             .with_dynamic(0.10 * self.intensity, 0.10 * self.intensity)
     }
-}
 
-/// Trial verdicts of a storm campaign, most severe first. Each trial gets
-/// exactly one verdict: `split_membership` beats `service_lost` beats
-/// `degraded_episode` beats `omission_only` beats `unaffected`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStormOutcomes {
-    /// Trials run.
-    pub trials: u64,
-    /// Membership majority lost at some point (≤ 3 of 6 in the view).
-    pub split_membership: u64,
-    /// Braking service lost (no CU member or < 3 wheels serving).
-    pub service_lost: u64,
-    /// Degraded-mode episode: membership shrank, force was redistributed.
-    pub degraded_episode: u64,
-    /// Slots were lost but membership never shrank.
-    pub omission_only: u64,
-    /// The storm left no externally visible trace.
-    pub unaffected: u64,
-}
-
-/// Everything a storm campaign measures: verdict fractions plus the
-/// *measured* bus-level coverage parameters that the analytic models take
-/// as inputs (instead of assuming them).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct NetStormCampaignResult {
-    /// Verdict tallies.
-    pub outcomes: NetStormOutcomes,
-    /// Injection decisions across all trials.
-    pub injected: InjectionCounts,
-    /// Frames the CRC rejected, across all trials.
-    pub crc_rejects: u64,
-    /// Corruptions that actually landed on a transmitted frame.
-    pub corruptions_applied: u64,
-    /// Babbling transmissions the guardian blocked.
-    pub guardian_blocks: u64,
-    /// Forged frames the receiver identity check rejected.
-    pub masquerade_rejects: u64,
-    /// Masquerades that actually landed on a transmitted frame.
-    pub masquerades_applied: u64,
-    /// Every observed exclusion→readmission latency (cycles), sorted.
-    pub reintegration_latencies: Vec<u32>,
-}
-
-impl NetStormCampaignResult {
-    /// Measured probability that a wire corruption is caught by the frame
-    /// CRC. The paper takes detection coverage as a model *input*; here it
-    /// is an experiment *output* (and should be 1.0 for 1–2-bit faults).
-    pub fn crc_reject_rate(&self) -> f64 {
-        ratio(self.crc_rejects, self.corruptions_applied)
-    }
-
-    /// Measured probability that a babbling attempt is blocked.
-    pub fn guardian_block_rate(&self) -> f64 {
-        ratio(self.guardian_blocks, self.injected.babbles)
-    }
-
-    /// Measured probability that a masqueraded frame is rejected.
-    pub fn masquerade_reject_rate(&self) -> f64 {
-        ratio(self.masquerade_rejects, self.masquerades_applied)
-    }
-
-    /// Percentile of the reintegration-latency distribution (0–100).
-    pub fn reintegration_percentile(&self, pct: u32) -> Option<u32> {
-        if self.reintegration_latencies.is_empty() {
-            return None;
-        }
-        let n = self.reintegration_latencies.len();
-        let idx = ((n - 1) * pct as usize) / 100;
-        Some(self.reintegration_latencies[idx])
-    }
-
-    fn merge(&mut self, other: NetStormCampaignResult) {
-        self.outcomes.trials += other.outcomes.trials;
-        self.outcomes.split_membership += other.outcomes.split_membership;
-        self.outcomes.service_lost += other.outcomes.service_lost;
-        self.outcomes.degraded_episode += other.outcomes.degraded_episode;
-        self.outcomes.omission_only += other.outcomes.omission_only;
-        self.outcomes.unaffected += other.outcomes.unaffected;
-        self.injected.merge(&other.injected);
-        self.crc_rejects += other.crc_rejects;
-        self.corruptions_applied += other.corruptions_applied;
-        self.guardian_blocks += other.guardian_blocks;
-        self.masquerade_rejects += other.masquerade_rejects;
-        self.masquerades_applied += other.masquerades_applied;
-        self.reintegration_latencies
-            .extend(other.reintegration_latencies);
-    }
-}
-
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
-    }
-}
-
-/// Runs the combined node + network storm campaign. Deterministic in the
-/// seed and invariant in the thread count: every trial forks its own
-/// stream from `(seed, trial index)`, so shard boundaries cannot perturb
-/// any drawn value, and the latency distribution is sorted before being
-/// returned.
-///
-/// # Panics
-///
-/// Panics if `trials` is zero, `cycles < 2`, or `intensity` is outside
-/// `[0, 1]`.
-pub fn run_net_storm_campaign(config: &NetStormCampaignConfig) -> NetStormCampaignResult {
-    assert!(config.trials > 0, "need trials");
-    assert!(config.cycles > 1, "need at least two cycles");
-    assert!(
-        (0.0..=1.0).contains(&config.intensity),
-        "intensity must be in [0, 1]"
-    );
-    let c = config.clone();
-    let campaign = nlft_engine::indexed_campaign(
-        "bbw-net-storm",
-        "net-storm-trial",
-        config.trials,
-        NetStormCampaignResult::default,
-        move |trial, _ctx, result: &mut NetStormCampaignResult| {
-            result.merge(run_storm_shard(&c, trial, trial + 1));
-        },
-        |into, from| into.merge(from),
-    );
-    let engine = nlft_engine::EngineConfig::with_workers(config.threads.max(1));
-    let mut result = nlft_engine::run_trials(campaign, &engine).acc;
-    result.reintegration_latencies.sort_unstable();
-    result
-}
-
-fn run_storm_shard(
-    config: &NetStormCampaignConfig,
-    start: u64,
-    end: u64,
-) -> NetStormCampaignResult {
-    let root = RngStream::new(config.seed);
-    let mut result = NetStormCampaignResult::default();
-    for trial in start..end {
-        let mut rng = root.fork_indexed("net-storm-trial", trial);
+    /// Runs trial `trial` into `t`.
+    pub(crate) fn run_trial(&self, trial: u64, t: &mut Tally) {
+        let mut rng = RngStream::new(self.seed).fork_indexed(NET_STORM.rng_label, trial);
         let mut cluster = BbwCluster::new();
-        cluster.attach_net_faults(config.plan(), rng.fork("net-injector"));
-        if config.with_node_faults {
+        cluster.attach_net_faults(self.plan(), rng.fork("net-injector"));
+        if self.with_node_faults {
             let node = ALL_NODES[rng.uniform_range(0, ALL_NODES.len() as u64) as usize];
-            let cycle = rng.uniform_range(1, u64::from(config.cycles) - 1) as u32;
+            let cycle = rng.uniform_range(1, u64::from(self.cycles) - 1) as u32;
             cluster.inject(ClusterInjection {
                 cycle,
                 node,
@@ -300,76 +76,150 @@ fn run_storm_shard(
                 fault: FaultSpace::cpu_only().sample(&mut rng),
             });
         }
-        let report = cluster.run(config.cycles, |_| 1200);
-        result.outcomes.trials += 1;
-        if report.split_membership {
-            result.outcomes.split_membership += 1;
-        } else if report.service_lost {
-            result.outcomes.service_lost += 1;
-        } else if report.degraded_cycles > 0 {
-            result.outcomes.degraded_episode += 1;
-        } else if report.omissions > 0 {
-            result.outcomes.omission_only += 1;
-        } else {
-            result.outcomes.unaffected += 1;
+        let report = cluster.run(self.cycles, |_| 1200);
+        let n = cluster.net_injection_counts();
+        let latencies = &report.reintegration_latencies;
+        t.trial(
+            system_verdict(&report),
+            &[
+                ("injected", n.total()),
+                ("crc_rejects", report.crc_rejects),
+                ("corruptions_applied", report.corruptions_applied),
+                ("guardian_blocks", report.guardian_blocks),
+                ("masquerade_rejects", report.masquerade_rejects),
+                ("masquerades_applied", report.masquerades_applied),
+                ("reintegrations", latencies.len() as u64),
+                (
+                    "reintegration_cycles",
+                    latencies.iter().map(|&l| u64::from(l)).sum(),
+                ),
+            ],
+            &[
+                n.corruptions,
+                n.omissions,
+                n.crashes,
+                n.babbles,
+                n.masquerades,
+                n.clock_glitches,
+                n.duplicates,
+                n.reorders,
+            ],
+        );
+        for &latency in latencies {
+            t.observe(0, latency);
         }
-        result.injected.merge(&cluster.net_injection_counts());
-        result.crc_rejects += report.crc_rejects;
-        result.corruptions_applied += report.corruptions_applied;
-        result.guardian_blocks += report.guardian_blocks;
-        result.masquerade_rejects += report.masquerade_rejects;
-        result.masquerades_applied += report.masquerades_applied;
-        result
-            .reintegration_latencies
-            .extend(report.reintegration_latencies);
     }
-    result
 }
+
+/// The system-boundary verdict of a cluster run, most severe first:
+/// `split_membership` (≤ 3 of 6 in the view) beats `service_lost` (no
+/// CU member or < 3 wheels serving) beats `degraded_episode`
+/// (membership shrank, force redistributed) beats `omission_only`
+/// (slots lost, membership whole) beats `unaffected`.
+pub(crate) fn system_verdict(report: &ClusterReport) -> &'static str {
+    if report.split_membership {
+        "split_membership"
+    } else if report.service_lost {
+        "service_lost"
+    } else if report.degraded_cycles > 0 {
+        "degraded_episode"
+    } else if report.omissions > 0 {
+        "omission_only"
+    } else {
+        "unaffected"
+    }
+}
+
+/// The `net_storm` family's outcome shape.
+pub(crate) const NET_STORM: Shape = Shape {
+    family: "net_storm",
+    campaign: "bbw-net-storm",
+    rng_label: "net-storm-trial",
+    verdicts: &[
+        "split_membership",
+        "service_lost",
+        "degraded_episode",
+        "omission_only",
+        "unaffected",
+    ],
+    metrics: &[
+        ("injected", Fold::Sum),
+        ("crc_rejects", Fold::Sum),
+        ("corruptions_applied", Fold::Sum),
+        ("guardian_blocks", Fold::Sum),
+        ("masquerade_rejects", Fold::Sum),
+        ("masquerades_applied", Fold::Sum),
+        ("reintegrations", Fold::Sum),
+        ("reintegration_cycles", Fold::Sum),
+    ],
+    details: &[
+        "injected_corruptions",
+        "injected_omissions",
+        "injected_crashes",
+        "injected_babbles",
+        "injected_masquerades",
+        "injected_clock_glitches",
+        "injected_duplicates",
+        "injected_reorders",
+    ],
+    distributions: &["reintegration_latencies"],
+};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scenario::{run_params, ScenarioOutcome};
+
+    fn storm(trials: u64, seed: u64, params: &str) -> ScenarioOutcome {
+        run_params("net_storm", trials, seed, params, 1)
+    }
+
+    /// One machine-level transient per run and no network faults: the
+    /// paper's distributed fault-injection experiment.
+    const TRANSIENTS_ONLY: &str = "cycles 10\nintensity 0\nnode_faults on";
+
+    fn ratio(num: u64, den: u64) -> f64 {
+        num as f64 / den as f64
+    }
 
     #[test]
     fn campaign_is_deterministic() {
-        let cfg = ClusterCampaignConfig::new(40, 0xC1A5);
-        assert_eq!(run_cluster_campaign(&cfg), run_cluster_campaign(&cfg));
+        assert_eq!(
+            storm(40, 0xC1A5, TRANSIENTS_ONLY),
+            storm(40, 0xC1A5, TRANSIENTS_ONLY)
+        );
     }
 
     #[test]
     fn single_transients_never_lose_braking() {
-        let cfg = ClusterCampaignConfig::new(150, 0xC1A5);
-        let r = run_cluster_campaign(&cfg);
+        let r = storm(150, 0xC1A5, TRANSIENTS_ONLY);
+        let c = |name| r.counter(name).unwrap();
         assert_eq!(
-            r.service_lost, 0,
+            c("service_lost"),
+            0,
             "a single CPU transient must never take the brakes out"
         );
         assert_eq!(
             r.trials,
-            r.unaffected + r.omission_only + r.degraded_episode + r.service_lost
+            c("unaffected") + c("omission_only") + c("degraded_episode") + c("service_lost")
         );
     }
 
     #[test]
     fn vast_majority_of_faults_are_invisible() {
-        let cfg = ClusterCampaignConfig::new(150, 0x600D);
-        let r = run_cluster_campaign(&cfg);
+        let r = storm(150, 0x600D, TRANSIENTS_ONLY);
         assert!(
-            r.masking_fraction() > 0.9,
+            ratio(r.counter("unaffected").unwrap(), r.trials) > 0.9,
             "TEM should hide almost everything at the vehicle boundary: {r:?}"
         );
     }
 
     #[test]
     fn storm_campaign_identical_across_thread_counts() {
-        let mut cfg = NetStormCampaignConfig::new(10, 0x5708);
-        cfg.cycles = 20;
-        cfg.threads = 1;
-        let one = run_net_storm_campaign(&cfg);
-        cfg.threads = 2;
-        let two = run_net_storm_campaign(&cfg);
-        cfg.threads = 5;
-        let five = run_net_storm_campaign(&cfg);
+        // `net-storm-nominal`'s configuration.
+        let params = "cycles 20\nintensity 0.3\nnode_faults on";
+        let one = run_params("net_storm", 10, 0x5708, params, 1);
+        let two = run_params("net_storm", 10, 0x5708, params, 2);
+        let five = run_params("net_storm", 10, 0x5708, params, 5);
         assert_eq!(one, two, "2 threads diverged from 1");
         assert_eq!(one, five, "5 threads diverged from 1");
         // Golden pin: any change to the RNG fork labels, the injector's
@@ -377,50 +227,54 @@ mod tests {
         // (Re-pinned in 0.2.0: CU set-points are now 6-word sealed fresh
         // commands and wheels hold-last-safe through short CU outages,
         // which moves corruption byte draws and outcome verdicts.)
-        let o = &one.outcomes;
+        let c = |name| one.counter(name).unwrap();
         assert_eq!(
             (
-                o.trials,
-                o.split_membership,
-                o.service_lost,
-                o.degraded_episode,
-                o.omission_only,
-                o.unaffected
+                one.trials,
+                c("split_membership"),
+                c("service_lost"),
+                c("degraded_episode"),
+                c("omission_only"),
+                c("unaffected")
             ),
             (10, 1, 5, 4, 0, 0),
-            "golden outcome distribution moved: {o:?}"
+            "golden outcome distribution moved: {one:?}"
         );
-        assert_eq!(
-            one.injected.total(),
-            239,
-            "golden injection count moved: {:?}",
-            one.injected
-        );
-        assert_eq!((one.crc_rejects, one.guardian_blocks), (92, 37));
+        assert_eq!(c("injected"), 239, "golden injection count moved: {one:?}");
+        assert_eq!((c("crc_rejects"), c("guardian_blocks")), (92, 37));
     }
 
     #[test]
     fn storm_measures_bus_coverage_parameters() {
-        let mut cfg = NetStormCampaignConfig::new(20, 0xC0FE);
-        cfg.cycles = 30;
-        cfg.with_node_faults = false;
-        let r = run_net_storm_campaign(&cfg);
-        assert!(r.corruptions_applied > 50, "storm too weak: {r:?}");
-        assert!(r.injected.babbles > 20, "storm too weak: {r:?}");
-        assert!(r.masquerades_applied > 10, "storm too weak: {r:?}");
+        let r = storm(20, 0xC0FE, "cycles 30\nnode_faults off");
+        let c = |name| r.counter(name).unwrap();
+        assert!(c("corruptions_applied") > 50, "storm too weak: {r:?}");
+        assert!(c("injected_babbles") > 20, "storm too weak: {r:?}");
+        assert!(c("masquerades_applied") > 10, "storm too weak: {r:?}");
         // 1–2-bit wire corruptions are within CRC-32's guaranteed detection
         // class, and the guardian blocks every foreign-slot attempt.
-        assert_eq!(r.crc_reject_rate(), 1.0, "{r:?}");
-        assert_eq!(r.guardian_block_rate(), 1.0, "{r:?}");
+        assert_eq!(
+            ratio(c("crc_rejects"), c("corruptions_applied")),
+            1.0,
+            "{r:?}"
+        );
+        assert_eq!(
+            ratio(c("guardian_blocks"), c("injected_babbles")),
+            1.0,
+            "{r:?}"
+        );
         // A masqueraded frame occasionally *also* gets corrupted on the
         // wire and is then charged to the CRC instead, so the identity
         // check's measured rate sits just below 1.
-        assert!(r.masquerade_reject_rate() > 0.8, "{r:?}");
+        assert!(
+            ratio(c("masquerade_rejects"), c("masquerades_applied")) > 0.8,
+            "{r:?}"
+        );
         // Under a storm nodes get excluded and come back: the latency
         // distribution is non-empty and its percentiles are ordered.
-        assert!(!r.reintegration_latencies.is_empty());
-        let p50 = r.reintegration_percentile(50).unwrap();
-        let p95 = r.reintegration_percentile(95).unwrap();
+        assert!(c("reintegrations") > 0);
+        let p50 = r.percentile("reintegration_latencies", 50).unwrap();
+        let p95 = r.percentile("reintegration_latencies", 95).unwrap();
         assert!(p50 <= p95);
     }
 }

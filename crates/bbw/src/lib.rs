@@ -66,6 +66,7 @@ pub mod recovery;
 pub mod scenario;
 pub mod sensitivity;
 pub mod sensor;
+mod tally;
 pub mod value_campaign;
 pub mod weakly_hard_campaign;
 
@@ -73,28 +74,22 @@ pub use actuator::{ActuatorFault, ActuatorMonitor, ActuatorMonitorConfig, WheelA
 pub use analytic::{
     BbwSystem, Functionality, Policy, ValueDomainParams, ValueDomainSystem, HOURS_PER_YEAR,
 };
-pub use blackout::{run_blackout_campaign, BlackoutCampaignConfig, BlackoutCampaignResult};
+pub use blackout::BlackoutCampaignConfig;
 pub use braking::{BrakingModel, BrakingScore, MissPolicy};
 pub use cluster::{BbwCluster, ClusterInjection, ClusterReport, CycleOutcome, ValueDomainReport};
-pub use cluster_campaign::{
-    run_cluster_campaign, run_net_storm_campaign, ClusterCampaignConfig, ClusterCampaignResult,
-    NetStormCampaignConfig, NetStormCampaignResult, NetStormOutcomes,
-};
+pub use cluster_campaign::NetStormCampaignConfig;
 pub use montecarlo::{run_monte_carlo, MonteCarloConfig, MonteCarloResult};
 pub use params::BbwParams;
 pub use recovery::{
-    intermittent_wheel_scenario, permanent_cu_scenario, run_recovery_cluster_campaign,
-    transient_storm_scenario, RecoveryClusterCampaignConfig, RecoveryClusterOutcomes,
+    intermittent_wheel_scenario, permanent_cu_scenario, transient_storm_scenario,
+    RecoveryClusterCampaignConfig,
 };
 pub use scenario::{
     check_accept, compile, run_compiled, run_scenario, ClusterScenarioConfig, CompileError,
     CompiledScenario, ScenarioOutcome,
 };
 pub use sensor::{PedalSensorArray, PedalVoterConfig, SensorFault, PEDAL_MAX};
-pub use value_campaign::{
-    run_value_domain_campaign, ValueCampaignMode, ValueDomainCampaignConfig,
-    ValueDomainCampaignResult, ValueDomainOutcomes,
-};
+pub use value_campaign::{ValueCampaignMode, ValueDomainCampaignConfig};
 pub use weakly_hard_campaign::{
     run_miss_pattern_campaign, MissPatternCampaignConfig, MissPatternCampaignResult,
     PlacementStrategy, WorstPattern,

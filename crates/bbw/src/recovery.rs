@@ -14,9 +14,10 @@
 //!   processor fault is retired; the duplex selection re-forms around the
 //!   surviving replica and braking continues on a single CU.
 //!
-//! [`run_recovery_cluster_campaign`] randomises over the three fault
-//! classes; like the storm campaign it is deterministic in its seed and
-//! bit-identical for any thread count.
+//! The `recovery` scenario family randomises over the three fault
+//! classes; runs go through [`crate::scenario::run_scenario`] and, like
+//! every family, are deterministic in the seed and bit-identical for any
+//! thread count.
 
 use nlft_core::diagnosis::AlphaCountConfig;
 use nlft_kernel::escalation::{EscalationPolicy, NodeHealth};
@@ -25,10 +26,12 @@ use nlft_net::frame::NodeId;
 use nlft_sim::rng::RngStream;
 
 use crate::cluster::{BbwCluster, ClusterInjection, ClusterReport, ALL_NODES, CU_A, WHEELS};
+use crate::tally::{Shape, Tally};
 
 /// A processor fault that essentially always activates: a flipped high PC
-/// bit sends execution into unmapped memory.
-fn pc_fault() -> TransientFault {
+/// bit sends execution into unmapped memory. The scenario language's
+/// `transient` and `intermittent` lines inject it too.
+pub(crate) fn pc_fault() -> TransientFault {
     TransientFault {
         target: FaultTarget::Pc,
         mask: 1 << 20,
@@ -106,8 +109,6 @@ pub struct RecoveryClusterCampaignConfig {
     /// Communication cycles per run. Must leave room for the full ladder
     /// (the default policy needs 25 job slots to retirement).
     pub cycles: u32,
-    /// Worker threads; results are identical for any value.
-    pub threads: usize,
 }
 
 impl RecoveryClusterCampaignConfig {
@@ -117,87 +118,14 @@ impl RecoveryClusterCampaignConfig {
             trials,
             seed,
             cycles: 40,
-            threads: 1,
         }
     }
-}
 
-/// Per-trial verdicts of the recovery campaign.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryClusterOutcomes {
-    /// Trials run.
-    pub trials: u64,
-    /// Transient trials handled with zero escalation.
-    pub masked_transient: u64,
-    /// Intermittent trials whose victim restarted (or calmed down) and
-    /// ended the run healthy.
-    pub recovered: u64,
-    /// Permanent trials whose victim was retired.
-    pub retired: u64,
-    /// Non-permanent trials ending in a retirement (misclassification).
-    pub false_retirement: u64,
-    /// Permanent trials whose victim was still in service at the end —
-    /// stuck-ats that TEM's identical copies cannot distinguish.
-    pub missed_permanent: u64,
-    /// Braking service lost at any point.
-    pub service_lost: u64,
-    /// Everything else (trial ended mid-ladder).
-    pub unresolved: u64,
-}
-
-impl RecoveryClusterOutcomes {
-    fn merge(&mut self, other: &RecoveryClusterOutcomes) {
-        self.trials += other.trials;
-        self.masked_transient += other.masked_transient;
-        self.recovered += other.recovered;
-        self.retired += other.retired;
-        self.false_retirement += other.false_retirement;
-        self.missed_permanent += other.missed_permanent;
-        self.service_lost += other.service_lost;
-        self.unresolved += other.unresolved;
-    }
-}
-
-/// Runs the randomised recovery campaign: each trial picks a fault class
-/// (one-shot transient, intermittent wheel, stuck-at node), runs a
-/// supervised cluster and classifies what the vehicle saw. Deterministic
-/// in the seed and invariant in the thread count.
-///
-/// # Panics
-///
-/// Panics if `trials` is zero or `cycles < 30` (the ladder needs room).
-pub fn run_recovery_cluster_campaign(
-    config: &RecoveryClusterCampaignConfig,
-) -> RecoveryClusterOutcomes {
-    assert!(config.trials > 0, "need trials");
-    assert!(
-        config.cycles >= 30,
-        "the escalation ladder needs >= 30 cycles"
-    );
-    let c = config.clone();
-    let campaign = nlft_engine::indexed_campaign(
-        "bbw-recovery-cluster",
-        "recovery-cluster-trial",
-        config.trials,
-        RecoveryClusterOutcomes::default,
-        move |trial, _ctx, result: &mut RecoveryClusterOutcomes| {
-            result.merge(&run_recovery_shard(&c, trial, trial + 1));
-        },
-        |into, from| into.merge(&from),
-    );
-    let engine = nlft_engine::EngineConfig::with_workers(config.threads.max(1));
-    nlft_engine::run_trials(campaign, &engine).acc
-}
-
-fn run_recovery_shard(
-    config: &RecoveryClusterCampaignConfig,
-    start: u64,
-    end: u64,
-) -> RecoveryClusterOutcomes {
-    let root = RngStream::new(config.seed);
-    let mut result = RecoveryClusterOutcomes::default();
-    for trial in start..end {
-        let mut rng = root.fork_indexed("recovery-cluster-trial", trial);
+    /// Runs trial `trial` into `t`: picks a fault class (one-shot
+    /// transient, intermittent wheel, stuck-at node), runs a supervised
+    /// cluster and classifies what the vehicle saw.
+    pub(crate) fn run_trial(&self, trial: u64, t: &mut Tally) {
+        let mut rng = RngStream::new(self.seed).fork_indexed(RECOVERY.rng_label, trial);
         let mut cluster = BbwCluster::new();
         cluster.supervise_all(AlphaCountConfig::default(), EscalationPolicy::default());
         let kind = rng.uniform_range(0, 3);
@@ -242,50 +170,53 @@ fn run_recovery_shard(
                 node
             }
         };
-        let report = cluster.run(config.cycles, |_| 1200);
+        let report = cluster.run(self.cycles, |_| 1200);
         let health = cluster.node_health(victim).expect("victim is supervised");
-        result.trials += 1;
-        if report.service_lost {
-            result.service_lost += 1;
-            continue;
-        }
-        let victim_retired = report.retired_nodes.contains(&victim);
-        match kind {
-            0 => {
-                if report.escalations.is_empty() && report.restarts == 0 {
-                    result.masked_transient += 1;
-                } else if victim_retired {
-                    result.false_retirement += 1;
-                } else if health == NodeHealth::Healthy {
-                    result.recovered += 1;
-                } else {
-                    result.unresolved += 1;
-                }
-            }
-            1 => {
-                if victim_retired {
-                    result.false_retirement += 1;
-                } else if health == NodeHealth::Healthy {
-                    result.recovered += 1;
-                } else {
-                    result.unresolved += 1;
-                }
-            }
-            _ => {
-                if victim_retired {
-                    result.retired += 1;
-                } else {
-                    result.missed_permanent += 1;
-                }
-            }
-        }
+        let retired = report.retired_nodes.contains(&victim);
+        let verdict = match kind {
+            _ if report.service_lost => "service_lost",
+            0 if report.escalations.is_empty() && report.restarts == 0 => "masked_transient",
+            0 | 1 if retired => "false_retirement",
+            0 | 1 if health == NodeHealth::Healthy => "recovered",
+            0 | 1 => "unresolved",
+            _ if retired => "retired",
+            _ => "missed_permanent",
+        };
+        t.trial(verdict, &[], &[]);
     }
-    result
 }
+
+/// The `recovery` family's outcome shape: per-trial verdicts only.
+/// `masked_transient`: a transient handled with zero escalation;
+/// `recovered`: a non-permanent victim ended the run healthy;
+/// `retired`: a permanent victim was retired; `false_retirement`: a
+/// non-permanent victim was retired (misclassification);
+/// `missed_permanent`: a permanent victim still in service at the end —
+/// a stuck-at TEM's identical copies cannot distinguish;
+/// `service_lost`: braking lost at any point; `unresolved`: the trial
+/// ended mid-ladder.
+pub(crate) const RECOVERY: Shape = Shape {
+    family: "recovery",
+    campaign: "bbw-recovery-cluster",
+    rng_label: "recovery-cluster-trial",
+    verdicts: &[
+        "masked_transient",
+        "recovered",
+        "retired",
+        "false_retirement",
+        "missed_permanent",
+        "service_lost",
+        "unresolved",
+    ],
+    metrics: &[],
+    details: &[],
+    distributions: &[],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{run_params, ScenarioOutcome};
     use nlft_kernel::escalation::EscalationEvent;
     use nlft_net::membership::MembershipEvent;
 
@@ -356,30 +287,31 @@ mod tests {
         assert!(last.wheel_force.iter().all(|f| f.is_some()));
     }
 
+    fn campaign(trials: u64, seed: u64, threads: usize) -> ScenarioOutcome {
+        run_params("recovery", trials, seed, "", threads)
+    }
+
     #[test]
     fn recovery_campaign_identical_across_thread_counts() {
-        let mut cfg = RecoveryClusterCampaignConfig::new(12, 0x3E5C);
-        cfg.threads = 1;
-        let one = run_recovery_cluster_campaign(&cfg);
-        cfg.threads = 2;
-        let two = run_recovery_cluster_campaign(&cfg);
-        cfg.threads = 5;
-        let five = run_recovery_cluster_campaign(&cfg);
+        let one = campaign(12, 0x3E5C, 1);
+        let two = campaign(12, 0x3E5C, 2);
+        let five = campaign(12, 0x3E5C, 5);
         assert_eq!(one, two, "2 threads diverged from 1");
         assert_eq!(one, five, "5 threads diverged from 1");
         // Golden pin: any change to the RNG fork labels, the fault draw
         // order, the supervisor thresholds or the cluster's cycle
         // structure shows up here.
+        let c = |name| one.counter(name).unwrap();
         assert_eq!(
             (
                 one.trials,
-                one.masked_transient,
-                one.recovered,
-                one.retired,
-                one.false_retirement,
-                one.missed_permanent,
-                one.service_lost,
-                one.unresolved,
+                c("masked_transient"),
+                c("recovered"),
+                c("retired"),
+                c("false_retirement"),
+                c("missed_permanent"),
+                c("service_lost"),
+                c("unresolved"),
             ),
             (12, 3, 4, 5, 0, 0, 0, 0),
             "golden outcome distribution moved: {one:?}"
@@ -388,24 +320,25 @@ mod tests {
 
     #[test]
     fn recovery_campaign_covers_the_three_diagnoses() {
-        let cfg = RecoveryClusterCampaignConfig::new(30, 0x3E5C);
-        let r = run_recovery_cluster_campaign(&cfg);
+        let r = campaign(30, 0x3E5C, 1);
+        let c = |name| r.counter(name).unwrap();
         assert_eq!(r.trials, 30);
-        assert!(r.masked_transient > 0, "{r:?}");
-        assert!(r.recovered > 0, "{r:?}");
-        assert!(r.retired > 0, "{r:?}");
-        assert_eq!(r.false_retirement, 0, "{r:?}");
+        assert!(c("masked_transient") > 0, "{r:?}");
+        assert!(c("recovered") > 0, "{r:?}");
+        assert!(c("retired") > 0, "{r:?}");
+        assert_eq!(c("false_retirement"), 0, "{r:?}");
         assert_eq!(
-            r.service_lost, 0,
+            c("service_lost"),
+            0,
             "single-node faults never lose braking: {r:?}"
         );
-        let total = r.masked_transient
-            + r.recovered
-            + r.retired
-            + r.false_retirement
-            + r.missed_permanent
-            + r.service_lost
-            + r.unresolved;
+        let total = c("masked_transient")
+            + c("recovered")
+            + c("retired")
+            + c("false_retirement")
+            + c("missed_permanent")
+            + c("service_lost")
+            + c("unresolved");
         assert_eq!(total, r.trials);
     }
 }

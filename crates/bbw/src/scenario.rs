@@ -25,7 +25,7 @@ use nlft_engine::{CampaignOptions, EngineConfig, ResumePoint};
 use nlft_kernel::contract::MkContract;
 use nlft_kernel::escalation::EscalationPolicy;
 use nlft_kernel::resources::ProtocolKind;
-use nlft_machine::fault::{FaultTarget, IntermittentFault, StuckAtFault, TransientFault};
+use nlft_machine::fault::{FaultTarget, IntermittentFault, StuckAtFault};
 use nlft_net::frame::NodeId;
 use nlft_net::inject::{BlackoutSpec, NetFaultPlan, NetFaultRates};
 use nlft_reliability::scenario::{
@@ -34,15 +34,17 @@ use nlft_reliability::scenario::{
 };
 use nlft_sim::crc::crc32;
 use nlft_sim::rng::RngStream;
+use nlft_sim::stats::Histogram;
 
 use crate::actuator::ActuatorFault;
-use crate::blackout::{run_blackout_campaign, BlackoutCampaignConfig};
+use crate::blackout::{BlackoutCampaignConfig, BLACKOUT};
 use crate::braking::MissPolicy;
-use crate::cluster::{BbwCluster, ClusterInjection, ClusterReport, ALL_NODES, CU_A, CU_B, WHEELS};
-use crate::cluster_campaign::{run_net_storm_campaign, NetStormCampaignConfig};
-use crate::recovery::{run_recovery_cluster_campaign, RecoveryClusterCampaignConfig};
+use crate::cluster::{BbwCluster, ClusterInjection, ALL_NODES, CU_A, CU_B, WHEELS};
+use crate::cluster_campaign::{system_verdict, NetStormCampaignConfig, NET_STORM};
+use crate::recovery::{pc_fault, RecoveryClusterCampaignConfig, RECOVERY};
 use crate::sensor::SensorFault;
-use crate::value_campaign::{run_value_domain_campaign, ValueDomainCampaignConfig};
+use crate::tally::{nearest_rank, Fold, Shape, Tally};
+use crate::value_campaign::{ValueDomainCampaignConfig, VALUE_DOMAIN};
 use crate::weakly_hard_campaign::{run_miss_pattern_campaign, MissPatternCampaignConfig};
 
 /// Why a parsed scenario could not be compiled onto the runners.
@@ -97,7 +99,7 @@ pub struct ClusterScenarioConfig {
 /// The outcome of running one scenario: integer verdict and metric
 /// counters in a canonical order, plus the CRC-32 digest over their
 /// canonical rendering. Bit-identical for any thread count.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioOutcome {
     /// Scenario name.
     pub name: String,
@@ -110,10 +112,21 @@ pub struct ScenarioOutcome {
     pub metrics: Vec<(String, u64)>,
     /// CRC-32 over [`ScenarioOutcome::canonical`].
     pub digest: u32,
+    /// Named counters reported beside the digest and not covered by it
+    /// (the net-storm family's per-kind injection counts).
+    pub details: Vec<(String, u64)>,
+    /// Named integer distributions, outside the digest: unit-bin
+    /// histograms where bin `i` counts the observations equal to `i`.
+    /// Their size is fixed by the scenario's cycle count, never by its
+    /// trial count.
+    pub distributions: Vec<(String, Histogram)>,
 }
 
+// Histogram bounds are always finite, so equality is reflexive.
+impl Eq for ScenarioOutcome {}
+
 impl ScenarioOutcome {
-    fn new(
+    pub(crate) fn new(
         name: &str,
         trials: u64,
         verdicts: Vec<(String, u64)>,
@@ -125,6 +138,8 @@ impl ScenarioOutcome {
             verdicts,
             metrics,
             digest: 0,
+            details: Vec::new(),
+            distributions: Vec::new(),
         };
         outcome.digest = crc32(outcome.canonical().as_bytes());
         outcome
@@ -143,13 +158,37 @@ impl ScenarioOutcome {
         out
     }
 
-    /// Looks up a named counter, verdicts first.
+    /// Looks up a named counter: verdicts, then metrics, then details.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.verdicts
             .iter()
-            .chain(self.metrics.iter())
+            .chain(&self.metrics)
+            .chain(&self.details)
             .find(|(k, _)| k == name)
             .map(|&(_, v)| v)
+    }
+
+    /// Looks up a named distribution.
+    pub fn distribution(&self, name: &str) -> Option<&Histogram> {
+        self.distributions
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, h)| h)
+    }
+
+    /// The nearest-rank percentile (0–100) of a named distribution: the
+    /// value at index `(n - 1) * pct / 100` of its sorted observations.
+    /// `None` for an unknown or empty distribution.
+    pub fn percentile(&self, distribution: &str, pct: u32) -> Option<u32> {
+        nearest_rank(self.distribution(distribution)?, pct)
+    }
+
+    /// The mean of a named distribution; `None` for an unknown or empty
+    /// one.
+    pub fn mean(&self, distribution: &str) -> Option<f64> {
+        let h = self.distribution(distribution)?;
+        let total: u64 = (0..).zip(h.bins()).map(|(v, &n)| v * n).sum();
+        (h.count() > 0).then(|| total as f64 / h.count() as f64)
     }
 }
 
@@ -207,42 +246,53 @@ fn node_id(name: NodeName) -> NodeId {
     }
 }
 
-/// The deterministic near-certain-activation transient the DSL's
-/// `transient` / `intermittent` lines inject: a flipped high PC bit
-/// sends every job into unmapped memory.
-fn pc_fault() -> TransientFault {
-    TransientFault {
-        target: FaultTarget::Pc,
-        mask: 1 << 20,
-    }
-}
+/// The most communication cycles a cluster-family trial may run. It
+/// bounds the distributions, which keep one bin per cycle.
+pub const MAX_CYCLES: u32 = 100_000;
 
 /// Compiles a parsed scenario onto its concrete runner configuration,
-/// revalidating every rate through the injectors' typed constructors.
-/// `threads` is the worker count for families that shard (the outcome
-/// itself is thread-count invariant).
+/// revalidating every rate through the injectors' typed constructors
+/// and every precondition of the family's runner, so that a scenario
+/// that compiles runs without panicking. `threads` is the worker count
+/// for the node-level families, whose runners shard (the outcome itself
+/// is thread-count invariant).
 pub fn compile(spec: &ScenarioSpec, threads: usize) -> Result<CompiledScenario, CompileError> {
     let fail = |message: String| CompileError {
         scenario: spec.name.clone(),
         message,
     };
-    if spec.trials == 0 {
-        return Err(fail("trials must be positive".into()));
-    }
+    let require = |ok: bool, message: &str| {
+        if ok {
+            Ok(())
+        } else {
+            Err(fail(message.into()))
+        }
+    };
+    let cycles_fit = |family: &str, cycles: u32, least: u32| {
+        require(
+            (least..=MAX_CYCLES).contains(&cycles),
+            &format!("{family} needs {least}..={MAX_CYCLES} cycles, got {cycles}"),
+        )
+    };
+    let probability = |x: f64, what: &str| {
+        require(
+            (0.0..=1.0).contains(&x),
+            &format!("{what} must be in [0, 1]"),
+        )
+    };
+    require(spec.trials > 0, "trials must be positive")?;
     Ok(match &spec.params {
         FamilyParams::NetStorm {
             cycles,
             intensity,
             node_faults,
         } => {
-            if *cycles < 2 {
-                return Err(fail("net_storm needs at least 2 cycles".into()));
-            }
+            cycles_fit("net_storm", *cycles, 2)?;
+            probability(*intensity, "net_storm intensity")?;
             let mut config = NetStormCampaignConfig::new(spec.trials, spec.seed);
             config.cycles = *cycles;
             config.intensity = *intensity;
             config.with_node_faults = *node_faults;
-            config.threads = threads;
             CompiledScenario::NetStorm(config)
         }
         FamilyParams::ValueDomain {
@@ -250,6 +300,9 @@ pub fn compile(spec: &ScenarioSpec, threads: usize) -> Result<CompiledScenario, 
             combined,
             net_intensity,
         } => {
+            // Fault onsets are drawn from `2..cycles / 2`.
+            cycles_fit("value_domain", *cycles, 8)?;
+            probability(*net_intensity, "value_domain net_intensity")?;
             let mut config = if *combined {
                 ValueDomainCampaignConfig::combined_storm(spec.trials, spec.seed)
             } else {
@@ -257,7 +310,6 @@ pub fn compile(spec: &ScenarioSpec, threads: usize) -> Result<CompiledScenario, 
             };
             config.cycles = *cycles;
             config.net_intensity = *net_intensity;
-            config.threads = threads;
             CompiledScenario::ValueDomain(config)
         }
         FamilyParams::Blackout {
@@ -268,12 +320,25 @@ pub fn compile(spec: &ScenarioSpec, threads: usize) -> Result<CompiledScenario, 
             min_reset,
             include_cus,
         } => {
-            if *down == 0 {
-                return Err(fail("blackout must last at least 1 cycle".into()));
-            }
-            if *min_reset == 0 {
-                return Err(fail("blackout must reset at least 1 node".into()));
-            }
+            require(
+                *warmup >= 2,
+                "blackout needs a warmup of at least 2 cycles (clique avoidance arms on them)",
+            )?;
+            require(
+                *recovery >= 1,
+                "blackout needs a recovery window of at least 1 cycle",
+            )?;
+            require(*down >= 1, "blackout must last at least 1 cycle")?;
+            let pool = if *include_cus {
+                ALL_NODES.len()
+            } else {
+                WHEELS.len()
+            };
+            require(
+                (1..=pool).contains(&(*min_reset as usize)),
+                &format!("blackout min_reset must be in 1..={pool}"),
+            )?;
+            cycles_fit("blackout", warmup.saturating_add(*recovery), 3)?;
             let mut config = BlackoutCampaignConfig::new(spec.trials, spec.seed);
             config.warmup_cycles = *warmup;
             config.recovery_cycles = *recovery;
@@ -281,18 +346,13 @@ pub fn compile(spec: &ScenarioSpec, threads: usize) -> Result<CompiledScenario, 
             config.stagger = *stagger;
             config.min_reset = *min_reset as usize;
             config.include_cus = *include_cus;
-            config.threads = threads;
             CompiledScenario::Blackout(config)
         }
         FamilyParams::Recovery { cycles } => {
-            if *cycles < 30 {
-                return Err(fail(
-                    "recovery needs at least 30 cycles (the full ladder)".into(),
-                ));
-            }
+            // The default escalation policy needs 25 job slots to retire.
+            cycles_fit("recovery", *cycles, 30)?;
             let mut config = RecoveryClusterCampaignConfig::new(spec.trials, spec.seed);
             config.cycles = *cycles;
-            config.threads = threads;
             CompiledScenario::Recovery(config)
         }
         FamilyParams::WeaklyHard {
@@ -303,16 +363,16 @@ pub fn compile(spec: &ScenarioSpec, threads: usize) -> Result<CompiledScenario, 
             interval_hi,
             zero_force,
         } => {
-            if *horizon_jobs == 0 || *horizon_jobs > 64 {
-                return Err(fail("weakly_hard horizon must be 1–64 jobs".into()));
-            }
-            if interval_lo >= interval_hi {
-                return Err(fail(
-                    "weakly_hard interval must be a non-empty range".into(),
-                ));
-            }
             let contract =
                 MkContract::try_new(*max_misses, *window).map_err(|e| fail(e.to_string()))?;
+            require(
+                (*window..=64).contains(horizon_jobs),
+                &format!("weakly_hard horizon must be {window}–64 jobs (window to 64)"),
+            )?;
+            require(
+                0 < *interval_lo && interval_lo < interval_hi,
+                "weakly_hard interval must be a non-empty range above 0",
+            )?;
             let mut config = MissPatternCampaignConfig::nominal(spec.trials, spec.seed);
             config.horizon_jobs = *horizon_jobs;
             config.contract = contract;
@@ -330,9 +390,12 @@ pub fn compile(spec: &ScenarioSpec, threads: usize) -> Result<CompiledScenario, 
             horizon,
             escalated_p,
         } => {
-            if *cores < 2 {
-                return Err(fail("multicore needs at least 2 cores".into()));
-            }
+            require(*cores >= 2, "multicore needs at least 2 cores")?;
+            require(
+                *horizon >= 4,
+                "multicore horizon must be at least 4 ticks to arm a death",
+            )?;
+            probability(*escalated_p, "multicore escalated_p")?;
             let mut config = MulticoreCampaignConfig::new(spec.trials, spec.seed);
             config.cores = *cores;
             config.horizon = *horizon;
@@ -351,7 +414,8 @@ pub fn compile(spec: &ScenarioSpec, threads: usize) -> Result<CompiledScenario, 
             CompiledScenario::Node(config)
         }
         FamilyParams::Cluster(cluster) => {
-            compile_cluster(spec, cluster).map_err(fail)?;
+            cycles_fit("cluster", cluster.cycles, 2)?;
+            compile_cluster(cluster).map_err(fail)?;
             CompiledScenario::Cluster(ClusterScenarioConfig {
                 trials: spec.trials,
                 seed: spec.seed,
@@ -363,10 +427,7 @@ pub fn compile(spec: &ScenarioSpec, threads: usize) -> Result<CompiledScenario, 
 
 /// Validates a cluster declaration by dry-building its plan through the
 /// injectors' typed constructors.
-fn compile_cluster(spec: &ScenarioSpec, cluster: &ClusterSpec) -> Result<(), String> {
-    if cluster.cycles < 2 {
-        return Err("cluster needs at least 2 cycles".into());
-    }
+fn compile_cluster(cluster: &ClusterSpec) -> Result<(), String> {
     build_net_plan(cluster).map_err(|e| e.to_string())?;
     for fault in &cluster.faults {
         match fault {
@@ -418,7 +479,6 @@ fn compile_cluster(spec: &ScenarioSpec, cluster: &ClusterSpec) -> Result<(), Str
             MkContract::try_new(m, k).map_err(|e| e.to_string())?;
         }
     }
-    let _ = spec;
     Ok(())
 }
 
@@ -487,121 +547,120 @@ fn build_net_plan(
     Ok(if any { Some(plan) } else { None })
 }
 
-/// Runs a compiled scenario and reduces its family-specific result to
-/// the canonical [`ScenarioOutcome`].
+/// Runs a compiled scenario with default engine options: node-level
+/// families at the worker count compiled into their configuration,
+/// cluster families on one worker.
 pub fn run_compiled(name: &str, compiled: &CompiledScenario) -> ScenarioOutcome {
-    match compiled {
-        CompiledScenario::NetStorm(config) => {
-            let r = run_net_storm_campaign(config);
-            ScenarioOutcome::new(
-                name,
-                r.outcomes.trials,
-                vec![
-                    ("split_membership".into(), r.outcomes.split_membership),
-                    ("service_lost".into(), r.outcomes.service_lost),
-                    ("degraded_episode".into(), r.outcomes.degraded_episode),
-                    ("omission_only".into(), r.outcomes.omission_only),
-                    ("unaffected".into(), r.outcomes.unaffected),
-                ],
-                vec![
-                    ("injected".into(), r.injected.total()),
-                    ("crc_rejects".into(), r.crc_rejects),
-                    ("corruptions_applied".into(), r.corruptions_applied),
-                    ("guardian_blocks".into(), r.guardian_blocks),
-                    ("masquerade_rejects".into(), r.masquerade_rejects),
-                    ("masquerades_applied".into(), r.masquerades_applied),
-                    (
-                        "reintegrations".into(),
-                        r.reintegration_latencies.len() as u64,
-                    ),
-                    (
-                        "reintegration_cycles".into(),
-                        r.reintegration_latencies
-                            .iter()
-                            .map(|&l| u64::from(l))
-                            .sum(),
-                    ),
-                ],
-            )
+    run_compiled_with(name, compiled, 1, &ScenarioEngineOptions::default())
+        .expect("default engine options cannot fail")
+}
+
+/// Parses nothing, compiles nothing: runs an already-parsed scenario
+/// end to end at the given thread count.
+pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> Result<ScenarioOutcome, CompileError> {
+    run_scenario_with(spec, threads, &ScenarioEngineOptions::default())
+}
+
+/// Engine options for the cluster-family scenario path.
+///
+/// The five cluster families (`cluster`, `net_storm`, `value_domain`,
+/// `blackout`, `recovery`) run on one engine path and honour these;
+/// passing non-default options with a node-level family (`node`,
+/// `multicore`, `weakly_hard`) is a [`CompileError`].
+#[derive(Default)]
+pub struct ScenarioEngineOptions<'a> {
+    /// Run the threaded executor even at one worker (the default
+    /// dispatches to the in-thread sequential reference below two
+    /// workers). The outcome is bit-identical either way — this exists
+    /// so differential gates can pit the two paths against each other.
+    pub force_engine: bool,
+    /// Per-trial wall-clock budget: a cluster trial that returns past
+    /// it is recorded as timed out and left out of the tallies.
+    pub trial_budget: Option<Duration>,
+    /// Resume from a checkpoint string previously handed to
+    /// `on_checkpoint` by a run of the same scenario.
+    pub resume: Option<String>,
+    /// Checkpoint cadence in trials (0 = never).
+    pub checkpoint_every: u64,
+    /// Called with `(trials_done, encoded_checkpoint)` at each cadence.
+    #[allow(clippy::type_complexity)]
+    pub on_checkpoint: Option<&'a dyn Fn(u64, String)>,
+}
+
+impl ScenarioEngineOptions<'_> {
+    fn is_default(&self) -> bool {
+        !self.force_engine
+            && self.trial_budget.is_none()
+            && self.resume.is_none()
+            && self.checkpoint_every == 0
+            && self.on_checkpoint.is_none()
+    }
+}
+
+impl std::fmt::Debug for ScenarioEngineOptions<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScenarioEngineOptions")
+            .field("force_engine", &self.force_engine)
+            .field("trial_budget", &self.trial_budget)
+            .field("resume", &self.resume.is_some())
+            .field("checkpoint_every", &self.checkpoint_every)
+            .field("on_checkpoint", &self.on_checkpoint.is_some())
+            .finish()
+    }
+}
+
+/// [`run_scenario`] with explicit engine options for the cluster
+/// families.
+pub fn run_scenario_with(
+    spec: &ScenarioSpec,
+    threads: usize,
+    opts: &ScenarioEngineOptions<'_>,
+) -> Result<ScenarioOutcome, CompileError> {
+    run_compiled_with(&spec.name, &compile(spec, threads)?, threads, opts)
+}
+
+/// Runs a compiled scenario: a cluster family through [`run_family`],
+/// a node-level family through its own campaign runner.
+fn run_compiled_with(
+    name: &str,
+    compiled: &CompiledScenario,
+    threads: usize,
+    opts: &ScenarioEngineOptions<'_>,
+) -> Result<ScenarioOutcome, CompileError> {
+    let run = |shape: &'static Shape,
+               trials: u64,
+               span: u32,
+               trial: &(dyn Fn(u64, &mut Tally) + Sync)| {
+        run_family(name, shape, trials, span, trial, threads, opts)
+    };
+    let outcome = match compiled {
+        CompiledScenario::NetStorm(c) => {
+            return run(&NET_STORM, c.trials, c.cycles, &|i, t| c.run_trial(i, t))
         }
-        CompiledScenario::ValueDomain(config) => {
-            let r = run_value_domain_campaign(config);
-            ScenarioOutcome::new(
-                name,
-                r.outcomes.trials,
-                vec![
-                    ("undetected".into(), r.outcomes.undetected),
-                    ("service_lost".into(), r.outcomes.service_lost),
-                    ("detected".into(), r.outcomes.detected),
-                    ("masked".into(), r.outcomes.masked),
-                ],
-                vec![
-                    (
-                        "worst_total_force_deficit".into(),
-                        u64::from(r.worst_total_force_deficit),
-                    ),
-                    (
-                        "worst_left_right_imbalance".into(),
-                        u64::from(r.worst_left_right_imbalance),
-                    ),
-                    ("stale_rejects".into(), r.stale_rejects),
-                    ("seal_rejects".into(), r.seal_rejects),
-                    ("held_setpoint_cycles".into(), r.held_setpoint_cycles),
-                    ("sensor_demotions".into(), r.sensor_demotions),
-                    ("actuator_trips".into(), r.actuator_trips),
-                    (
-                        "undetected_value_failures".into(),
-                        r.undetected_value_failures,
-                    ),
-                ],
-            )
+        CompiledScenario::ValueDomain(c) => {
+            let clean = c.clean_reference();
+            return run(&VALUE_DOMAIN, c.trials, c.cycles, &|i, t| {
+                c.run_trial(&clean, i, t)
+            });
         }
-        CompiledScenario::Blackout(config) => {
-            let r = run_blackout_campaign(config);
-            ScenarioOutcome::new(
-                name,
-                r.trials,
-                vec![
-                    ("full_recoveries".into(), r.full_recoveries),
-                    ("incomplete".into(), r.trials - r.full_recoveries),
-                ],
-                vec![
-                    ("cold_start_trials".into(), r.cold_start_trials),
-                    ("cold_starts_sent".into(), r.cold_starts_sent),
-                    ("big_bangs".into(), r.big_bangs),
-                    ("clique_reverts".into(), r.clique_reverts),
-                    ("guardian_blocks".into(), r.guardian_blocks),
-                    ("held_setpoint_cycles".into(), r.held_setpoint_cycles),
-                    (
-                        "membership_cycles".into(),
-                        r.time_to_full_membership
-                            .iter()
-                            .map(|&l| u64::from(l))
-                            .sum(),
-                    ),
-                    (
-                        "unavailability_cycles".into(),
-                        r.unavailability_cycles.iter().map(|&l| u64::from(l)).sum(),
-                    ),
-                ],
-            )
+        CompiledScenario::Blackout(c) => {
+            return run(&BLACKOUT, c.trials, c.span(), &|i, t| c.run_trial(i, t))
         }
-        CompiledScenario::Recovery(config) => {
-            let r = run_recovery_cluster_campaign(config);
-            ScenarioOutcome::new(
-                name,
-                r.trials,
-                vec![
-                    ("masked_transient".into(), r.masked_transient),
-                    ("recovered".into(), r.recovered),
-                    ("retired".into(), r.retired),
-                    ("false_retirement".into(), r.false_retirement),
-                    ("missed_permanent".into(), r.missed_permanent),
-                    ("service_lost".into(), r.service_lost),
-                    ("unresolved".into(), r.unresolved),
-                ],
-                Vec::new(),
-            )
+        CompiledScenario::Recovery(c) => {
+            return run(&RECOVERY, c.trials, c.cycles, &|i, t| c.run_trial(i, t))
+        }
+        CompiledScenario::Cluster(c) => {
+            return run(&CLUSTER, c.trials, c.spec.cycles, &|i, t| {
+                run_cluster_trial(c, i, t)
+            })
+        }
+        _ if !opts.is_default() => {
+            return Err(CompileError {
+                scenario: name.to_string(),
+                message: "engine options (--engine / --trial-budget-ms / --checkpoint / \
+                          --resume) require a cluster-family scenario"
+                    .to_string(),
+            })
         }
         CompiledScenario::WeaklyHard(config) => {
             let r = run_miss_pattern_campaign(config);
@@ -673,212 +732,155 @@ pub fn run_compiled(name: &str, compiled: &CompiledScenario) -> ScenarioOutcome 
                 ],
             )
         }
-        CompiledScenario::Cluster(config) => {
-            run_cluster_scenario(name, config, 1, &ScenarioEngineOptions::default())
-                .expect("default engine options cannot fail")
-        }
-    }
+    };
+    Ok(outcome)
 }
 
-/// Parses nothing, compiles nothing: runs an already-parsed scenario
-/// end to end at the given thread count.
-pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> Result<ScenarioOutcome, CompileError> {
-    run_scenario_with(spec, threads, &ScenarioEngineOptions::default())
-}
-
-/// Engine options for the cluster-family scenario path.
-///
-/// Only the free-form `cluster` family honours these (the other
-/// families run on the engine through their own campaign runners);
-/// passing non-default options with any other family is a
-/// [`CompileError`].
-#[derive(Default)]
-pub struct ScenarioEngineOptions<'a> {
-    /// Run the threaded executor even at one worker (the default
-    /// dispatches to the in-thread sequential reference below two
-    /// workers). The outcome is bit-identical either way — this exists
-    /// so differential gates can pit the two paths against each other.
-    pub force_engine: bool,
-    /// Per-trial wall-clock budget: a cluster trial that returns past
-    /// it is recorded as timed out and left out of the tallies.
-    pub trial_budget: Option<Duration>,
-    /// Resume from a checkpoint string previously handed to
-    /// `on_checkpoint`.
-    pub resume: Option<String>,
-    /// Checkpoint cadence in trials (0 = never).
-    pub checkpoint_every: u64,
-    /// Called with `(trials_done, encoded_checkpoint)` at each cadence.
-    #[allow(clippy::type_complexity)]
-    pub on_checkpoint: Option<&'a dyn Fn(u64, String)>,
-}
-
-impl ScenarioEngineOptions<'_> {
-    fn is_default(&self) -> bool {
-        !self.force_engine
-            && self.trial_budget.is_none()
-            && self.resume.is_none()
-            && self.checkpoint_every == 0
-            && self.on_checkpoint.is_none()
-    }
-}
-
-impl std::fmt::Debug for ScenarioEngineOptions<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScenarioEngineOptions")
-            .field("force_engine", &self.force_engine)
-            .field("trial_budget", &self.trial_budget)
-            .field("resume", &self.resume.is_some())
-            .field("checkpoint_every", &self.checkpoint_every)
-            .field("on_checkpoint", &self.on_checkpoint.is_some())
-            .finish()
-    }
-}
-
-/// [`run_scenario`] with explicit engine options for the cluster
-/// family.
-pub fn run_scenario_with(
-    spec: &ScenarioSpec,
+/// Runs one cluster family's `trials` on the campaign engine, each
+/// trial writing into a fresh [`Tally`] with distributions over
+/// `0..=span`. Every trial forks its own labelled stream off the
+/// scenario seed and block partials fold in block order, so the
+/// outcome — digest included — is identical for any thread count, with
+/// or without `force_engine`, and across a checkpoint/resume split.
+fn run_family(
+    name: &str,
+    shape: &'static Shape,
+    trials: u64,
+    span: u32,
+    trial: &(dyn Fn(u64, &mut Tally) + Sync),
     threads: usize,
     opts: &ScenarioEngineOptions<'_>,
 ) -> Result<ScenarioOutcome, CompileError> {
-    let compiled = compile(spec, threads)?;
-    match &compiled {
-        CompiledScenario::Cluster(config) => {
-            run_cluster_scenario(&spec.name, config, threads, opts)
+    let resume = opts
+        .resume
+        .as_deref()
+        .map(|text| decode_resume(text, name, shape, span, trials))
+        .transpose()
+        .map_err(|e| CompileError {
+            scenario: name.to_string(),
+            message: format!("bad resume checkpoint: {e}"),
+        })?;
+    let campaign = nlft_engine::indexed_campaign(
+        shape.campaign,
+        shape.rng_label,
+        trials,
+        || Tally::empty(shape, span),
+        |i, _ctx, tally: &mut Tally| trial(i, tally),
+        |into: &mut Tally, from| into.merge(from),
+    );
+    let engine = EngineConfig {
+        workers: threads.max(1),
+        trial_budget: opts.trial_budget,
+        checkpoint_every: opts.checkpoint_every,
+        ..EngineConfig::default()
+    };
+    let save = opts.on_checkpoint.map(|f| {
+        move |done: u64, acc: &Tally| {
+            let point = ResumePoint {
+                trials_done: done,
+                acc: acc.clone(),
+            };
+            f(
+                done,
+                format!("scenario {name} {}", checkpoint::encode(&point)),
+            );
         }
-        other => {
-            if !opts.is_default() {
-                return Err(CompileError {
-                    scenario: spec.name.clone(),
-                    message: "engine options (--engine / --trial-budget-ms / --resume) \
-                              require a cluster-family scenario"
-                        .to_string(),
-                });
-            }
-            Ok(run_compiled(&spec.name, other))
-        }
-    }
+    });
+    let options = CampaignOptions {
+        resume,
+        on_checkpoint: save.as_ref().map(|f| f as &dyn Fn(u64, &Tally)),
+    };
+    let run = if opts.force_engine {
+        nlft_engine::run_campaign_with(campaign, &engine, options)
+    } else {
+        nlft_engine::run_trials_with(campaign, &engine, options)
+    };
+    Ok(run.acc.into_outcome(name))
 }
 
-/// Per-trial tallies of the free-form cluster engine.
-#[derive(Debug, Clone, Copy, Default)]
-struct ClusterTallies {
+/// Decodes a checkpoint written by [`run_family`] and refuses one that
+/// belongs to another scenario, family or span, claims more trials than
+/// the scenario has, or whose tally does not hold exactly the trials it
+/// claims (a checkpoint taken after a trial timed out or panicked
+/// records no trace of it, so resuming would lose the trial silently).
+fn decode_resume(
+    text: &str,
+    name: &str,
+    shape: &Shape,
+    span: u32,
     trials: u64,
-    undetected: u64,
-    split_membership: u64,
-    service_lost: u64,
-    degraded_episode: u64,
-    omission_only: u64,
-    unaffected: u64,
-    omissions: u64,
-    degraded_cycles: u64,
-    injected: u64,
-    crc_rejects: u64,
-    guardian_blocks: u64,
-    masquerade_rejects: u64,
-    corruptions_applied: u64,
-    masquerades_applied: u64,
-    restarts: u64,
-    retired_nodes: u64,
-    escalations: u64,
-    contract_misses: u64,
-    contract_violations: u64,
-    held_setpoint_cycles: u64,
-    sensor_demotions: u64,
-    actuator_trips: u64,
-    undetected_value_failures: u64,
-    core_deaths: u64,
-    reintegrations: u64,
-    reintegration_cycles: u64,
+) -> Result<ResumePoint<Tally>, String> {
+    let mut reader = TokenReader::new(text);
+    reader.expect_tag("scenario")?;
+    let named = reader.next_token()?;
+    if named != name {
+        return Err(format!("checkpoint is for scenario `{named}`"));
+    }
+    let point = ResumePoint::<Tally>::decode(&mut reader)?;
+    reader.finish()?;
+    let (done, acc) = (point.trials_done, &point.acc);
+    let (family, got) = (acc.shape().family, acc.span());
+    Err(if family != shape.family {
+        format!(
+            "checkpoint is for family `{family}`, not `{}`",
+            shape.family
+        )
+    } else if got != span {
+        format!("checkpoint spans {got} cycles, the scenario {span}")
+    } else if done > trials {
+        format!("checkpoint has {done} trials done, the scenario has {trials}")
+    } else if acc.trials() != done {
+        let held = acc.trials();
+        format!("tally holds {held} trials, the checkpoint claims {done}")
+    } else {
+        return Ok(point);
+    })
 }
 
-impl ClusterTallies {
-    fn absorb(&mut self, report: &ClusterReport, injected: u64) {
-        self.trials += 1;
-        let undetected_value = u64::from(report.value.undetected_value_failures());
-        if undetected_value > 0 {
-            self.undetected += 1;
-        } else if report.split_membership {
-            self.split_membership += 1;
-        } else if report.service_lost {
-            self.service_lost += 1;
-        } else if report.degraded_cycles > 0 {
-            self.degraded_episode += 1;
-        } else if report.omissions > 0 {
-            self.omission_only += 1;
-        } else {
-            self.unaffected += 1;
-        }
-        self.omissions += u64::from(report.omissions);
-        self.degraded_cycles += u64::from(report.degraded_cycles);
-        self.injected += injected;
-        self.crc_rejects += report.crc_rejects;
-        self.guardian_blocks += report.guardian_blocks;
-        self.masquerade_rejects += report.masquerade_rejects;
-        self.corruptions_applied += report.corruptions_applied;
-        self.masquerades_applied += report.masquerades_applied;
-        self.restarts += u64::from(report.restarts);
-        self.retired_nodes += report.retired_nodes.len() as u64;
-        self.escalations += report.escalations.len() as u64;
-        self.contract_misses += report
-            .wheel_contract_misses
-            .iter()
-            .map(|&m| u64::from(m))
-            .sum::<u64>();
-        self.contract_violations += report
-            .wheel_contract_violations
-            .iter()
-            .map(|&v| u64::from(v))
-            .sum::<u64>();
-        self.held_setpoint_cycles += u64::from(report.value.held_setpoint_cycles);
-        self.sensor_demotions += u64::from(report.value.sensor_demotions);
-        self.actuator_trips += report.value.actuator_trips.len() as u64;
-        self.undetected_value_failures += undetected_value;
-        self.core_deaths += report.core_deaths.len() as u64;
-        self.reintegrations += report.reintegration_latencies.len() as u64;
-        self.reintegration_cycles += report
-            .reintegration_latencies
-            .iter()
-            .map(|&l| u64::from(l))
-            .sum::<u64>();
-    }
-
-    fn merge(&mut self, other: &ClusterTallies) {
-        self.trials += other.trials;
-        self.undetected += other.undetected;
-        self.split_membership += other.split_membership;
-        self.service_lost += other.service_lost;
-        self.degraded_episode += other.degraded_episode;
-        self.omission_only += other.omission_only;
-        self.unaffected += other.unaffected;
-        self.omissions += other.omissions;
-        self.degraded_cycles += other.degraded_cycles;
-        self.injected += other.injected;
-        self.crc_rejects += other.crc_rejects;
-        self.guardian_blocks += other.guardian_blocks;
-        self.masquerade_rejects += other.masquerade_rejects;
-        self.corruptions_applied += other.corruptions_applied;
-        self.masquerades_applied += other.masquerades_applied;
-        self.restarts += other.restarts;
-        self.retired_nodes += other.retired_nodes;
-        self.escalations += other.escalations;
-        self.contract_misses += other.contract_misses;
-        self.contract_violations += other.contract_violations;
-        self.held_setpoint_cycles += other.held_setpoint_cycles;
-        self.sensor_demotions += other.sensor_demotions;
-        self.actuator_trips += other.actuator_trips;
-        self.undetected_value_failures += other.undetected_value_failures;
-        self.core_deaths += other.core_deaths;
-        self.reintegrations += other.reintegrations;
-        self.reintegration_cycles += other.reintegration_cycles;
-    }
-}
+/// The free-form `cluster` family's outcome shape.
+pub(crate) const CLUSTER: Shape = Shape {
+    family: "cluster",
+    campaign: "bbw-cluster-scenario",
+    rng_label: "scenario-trial",
+    verdicts: &[
+        "undetected",
+        "split_membership",
+        "service_lost",
+        "degraded_episode",
+        "omission_only",
+        "unaffected",
+    ],
+    metrics: &[
+        ("omissions", Fold::Sum),
+        ("degraded_cycles", Fold::Sum),
+        ("injected", Fold::Sum),
+        ("crc_rejects", Fold::Sum),
+        ("guardian_blocks", Fold::Sum),
+        ("masquerade_rejects", Fold::Sum),
+        ("corruptions_applied", Fold::Sum),
+        ("masquerades_applied", Fold::Sum),
+        ("restarts", Fold::Sum),
+        ("retired_nodes", Fold::Sum),
+        ("escalations", Fold::Sum),
+        ("contract_misses", Fold::Sum),
+        ("contract_violations", Fold::Sum),
+        ("held_setpoint_cycles", Fold::Sum),
+        ("sensor_demotions", Fold::Sum),
+        ("actuator_trips", Fold::Sum),
+        ("undetected_value_failures", Fold::Sum),
+        ("core_deaths", Fold::Sum),
+        ("reintegrations", Fold::Sum),
+        ("reintegration_cycles", Fold::Sum),
+    ],
+    details: &[],
+    distributions: &["reintegration_latencies"],
+};
 
 /// Runs one trial of a cluster scenario: builds the cluster from the
 /// declaration, attaches every fault line, runs the pedal profile.
-fn run_cluster_trial(config: &ClusterScenarioConfig, trial: u64) -> (ClusterReport, u64) {
+fn run_cluster_trial(config: &ClusterScenarioConfig, trial: u64, t: &mut Tally) {
     let root = RngStream::new(config.seed);
-    let rng = root.fork_indexed("scenario-trial", trial);
+    let rng = root.fork_indexed(CLUSTER.rng_label, trial);
     let mut cluster = BbwCluster::with_rng(rng.fork("pedal-sensors"));
     let spec = &config.spec;
     for &(node, kind) in &spec.nodes {
@@ -995,191 +997,69 @@ fn run_cluster_trial(config: &ClusterScenarioConfig, trial: u64) -> (ClusterRepo
             base.saturating_add(slope.saturating_mul(cycle)).min(max)
         }),
     };
-    let injected = cluster.net_injection_counts().total();
-    (report, injected)
-}
-
-/// Runs a cluster scenario on the campaign engine. Every trial forks
-/// its own labelled stream off the scenario seed and block partials are
-/// folded in block order, so the outcome — digest included — is
-/// identical for any thread count, with or without `force_engine`.
-fn run_cluster_scenario(
-    name: &str,
-    config: &ClusterScenarioConfig,
-    threads: usize,
-    opts: &ScenarioEngineOptions<'_>,
-) -> Result<ScenarioOutcome, CompileError> {
-    let c = config.clone();
-    let campaign = nlft_engine::indexed_campaign(
-        "bbw-cluster-scenario",
-        "scenario-trial",
-        config.trials,
-        ClusterTallies::default,
-        move |trial, _ctx, tallies: &mut ClusterTallies| {
-            let (report, injected) = run_cluster_trial(&c, trial);
-            tallies.absorb(&report, injected);
-        },
-        |into: &mut ClusterTallies, from| into.merge(&from),
-    );
-    let engine = EngineConfig {
-        workers: threads.max(1),
-        trial_budget: opts.trial_budget,
-        checkpoint_every: opts.checkpoint_every,
-        ..EngineConfig::default()
-    };
-    let resume = opts
-        .resume
-        .as_deref()
-        .map(checkpoint::decode::<ResumePoint<ClusterTallies>>)
-        .transpose()
-        .map_err(|e| CompileError {
-            scenario: name.to_string(),
-            message: format!("bad resume checkpoint: {e}"),
-        })?;
-    #[allow(clippy::type_complexity)]
-    let encode_cb: Option<Box<dyn Fn(u64, &ClusterTallies)>> = opts.on_checkpoint.map(|f| {
-        Box::new(move |done: u64, acc: &ClusterTallies| {
-            let point = ResumePoint {
-                trials_done: done,
-                acc: *acc,
-            };
-            f(done, checkpoint::encode(&point));
-        }) as _
-    });
-    let options = CampaignOptions {
-        resume,
-        on_checkpoint: encode_cb.as_deref(),
-    };
-    let run = if opts.force_engine {
-        nlft_engine::run_campaign_with(campaign, &engine, options)
+    let sum = |xs: &[u32]| xs.iter().map(|&x| u64::from(x)).sum::<u64>();
+    let value = &report.value;
+    let undetected_value = u64::from(value.undetected_value_failures());
+    let verdict = if undetected_value > 0 {
+        "undetected"
     } else {
-        nlft_engine::run_trials_with(campaign, &engine, options)
+        system_verdict(&report)
     };
-    let tallies = run.acc;
-    let t = &tallies;
-    Ok(ScenarioOutcome::new(
-        name,
-        t.trials,
-        vec![
-            ("undetected".into(), t.undetected),
-            ("split_membership".into(), t.split_membership),
-            ("service_lost".into(), t.service_lost),
-            ("degraded_episode".into(), t.degraded_episode),
-            ("omission_only".into(), t.omission_only),
-            ("unaffected".into(), t.unaffected),
-        ],
-        vec![
-            ("omissions".into(), t.omissions),
-            ("degraded_cycles".into(), t.degraded_cycles),
-            ("injected".into(), t.injected),
-            ("crc_rejects".into(), t.crc_rejects),
-            ("guardian_blocks".into(), t.guardian_blocks),
-            ("masquerade_rejects".into(), t.masquerade_rejects),
-            ("corruptions_applied".into(), t.corruptions_applied),
-            ("masquerades_applied".into(), t.masquerades_applied),
-            ("restarts".into(), t.restarts),
-            ("retired_nodes".into(), t.retired_nodes),
-            ("escalations".into(), t.escalations),
-            ("contract_misses".into(), t.contract_misses),
-            ("contract_violations".into(), t.contract_violations),
-            ("held_setpoint_cycles".into(), t.held_setpoint_cycles),
-            ("sensor_demotions".into(), t.sensor_demotions),
-            ("actuator_trips".into(), t.actuator_trips),
+    t.trial(
+        verdict,
+        &[
+            ("omissions", u64::from(report.omissions)),
+            ("degraded_cycles", u64::from(report.degraded_cycles)),
+            ("injected", cluster.net_injection_counts().total()),
+            ("crc_rejects", report.crc_rejects),
+            ("guardian_blocks", report.guardian_blocks),
+            ("masquerade_rejects", report.masquerade_rejects),
+            ("corruptions_applied", report.corruptions_applied),
+            ("masquerades_applied", report.masquerades_applied),
+            ("restarts", u64::from(report.restarts)),
+            ("retired_nodes", report.retired_nodes.len() as u64),
+            ("escalations", report.escalations.len() as u64),
+            ("contract_misses", sum(&report.wheel_contract_misses)),
             (
-                "undetected_value_failures".into(),
-                t.undetected_value_failures,
+                "contract_violations",
+                sum(&report.wheel_contract_violations),
             ),
-            ("core_deaths".into(), t.core_deaths),
-            ("reintegrations".into(), t.reintegrations),
-            ("reintegration_cycles".into(), t.reintegration_cycles),
+            (
+                "held_setpoint_cycles",
+                u64::from(value.held_setpoint_cycles),
+            ),
+            ("sensor_demotions", u64::from(value.sensor_demotions)),
+            ("actuator_trips", value.actuator_trips.len() as u64),
+            ("undetected_value_failures", undetected_value),
+            ("core_deaths", report.core_deaths.len() as u64),
+            (
+                "reintegrations",
+                report.reintegration_latencies.len() as u64,
+            ),
+            ("reintegration_cycles", sum(&report.reintegration_latencies)),
         ],
-    ))
-}
-
-impl ClusterTallies {
-    fn to_array(self) -> [u64; 26] {
-        [
-            self.trials,
-            self.undetected,
-            self.split_membership,
-            self.service_lost,
-            self.degraded_episode,
-            self.omission_only,
-            self.unaffected,
-            self.omissions,
-            self.degraded_cycles,
-            self.injected,
-            self.crc_rejects,
-            self.guardian_blocks,
-            self.masquerade_rejects,
-            self.corruptions_applied,
-            self.masquerades_applied,
-            self.restarts,
-            self.retired_nodes,
-            self.escalations,
-            self.contract_misses,
-            self.contract_violations,
-            self.held_setpoint_cycles,
-            self.sensor_demotions,
-            self.actuator_trips,
-            self.undetected_value_failures,
-            self.core_deaths,
-            self.reintegrations,
-        ]
-    }
-
-    fn from_array(a: [u64; 26], reintegration_cycles: u64) -> Self {
-        ClusterTallies {
-            trials: a[0],
-            undetected: a[1],
-            split_membership: a[2],
-            service_lost: a[3],
-            degraded_episode: a[4],
-            omission_only: a[5],
-            unaffected: a[6],
-            omissions: a[7],
-            degraded_cycles: a[8],
-            injected: a[9],
-            crc_rejects: a[10],
-            guardian_blocks: a[11],
-            masquerade_rejects: a[12],
-            corruptions_applied: a[13],
-            masquerades_applied: a[14],
-            restarts: a[15],
-            retired_nodes: a[16],
-            escalations: a[17],
-            contract_misses: a[18],
-            contract_violations: a[19],
-            held_setpoint_cycles: a[20],
-            sensor_demotions: a[21],
-            actuator_trips: a[22],
-            undetected_value_failures: a[23],
-            core_deaths: a[24],
-            reintegrations: a[25],
-            reintegration_cycles,
-        }
+        &[],
+    );
+    for &latency in &report.reintegration_latencies {
+        t.observe(0, latency);
     }
 }
 
-impl Checkpoint for ClusterTallies {
-    fn encode(&self) -> String {
-        let mut out = String::from("cluster-tallies");
-        for x in self.to_array() {
-            checkpoint::push_u64(&mut out, x);
-        }
-        checkpoint::push_u64(&mut out, self.reintegration_cycles);
-        out
-    }
-
-    fn decode(reader: &mut TokenReader<'_>) -> Result<Self, String> {
-        reader.expect_tag("cluster-tallies")?;
-        let mut a = [0u64; 26];
-        for slot in &mut a {
-            *slot = reader.next_u64()?;
-        }
-        let reintegration_cycles = reader.next_u64()?;
-        Ok(ClusterTallies::from_array(a, reintegration_cycles))
-    }
+/// Runs a `family` scenario with the given `params` lines (for tests).
+#[cfg(test)]
+pub(crate) fn run_params(
+    family: &str,
+    trials: u64,
+    seed: u64,
+    params: &str,
+    threads: usize,
+) -> ScenarioOutcome {
+    let source = format!(
+        "scenario {family}\nfamily {family}\ntrials {trials}\nseed {seed}\n\
+         params\n{params}\nend\nend\n"
+    );
+    let spec = nlft_reliability::scenario::parse_scenario(&source).expect("test scenario parses");
+    run_scenario(&spec, threads).expect("test scenario runs")
 }
 
 #[cfg(test)]
@@ -1189,29 +1069,6 @@ mod tests {
 
     fn spec(source: &str) -> ScenarioSpec {
         parse_scenario(source).expect("test scenario parses")
-    }
-
-    #[test]
-    fn net_storm_scenario_matches_hand_wired_campaign() {
-        // The golden-pinned configuration from `cluster_campaign`:
-        // 10 trials, seed 0x5708, 20 cycles.
-        let spec = spec(
-            "scenario storm\nfamily net_storm\ntrials 10\nseed 0x5708\n\
-             params\ncycles 20\nend\nend\n",
-        );
-        let outcome = run_scenario(&spec, 1).unwrap();
-        let mut config = NetStormCampaignConfig::new(10, 0x5708);
-        config.cycles = 20;
-        let direct = run_net_storm_campaign(&config);
-        assert_eq!(
-            outcome.counter("service_lost"),
-            Some(direct.outcomes.service_lost)
-        );
-        assert_eq!(
-            outcome.counter("degraded_episode"),
-            Some(direct.outcomes.degraded_episode)
-        );
-        assert_eq!(outcome.counter("injected"), Some(direct.injected.total()));
     }
 
     #[test]
@@ -1282,5 +1139,177 @@ mod tests {
         assert_eq!(outcome.trials, 2);
         let total: u64 = outcome.verdicts.iter().map(|&(_, v)| v).sum();
         assert_eq!(total, 2, "each trial gets exactly one verdict");
+    }
+
+    #[test]
+    fn compile_refuses_every_runner_precondition_without_panicking() {
+        // One mutant per precondition a runner would otherwise assert.
+        let mut mutants: Vec<ScenarioSpec> = [
+            ("net_storm", "cycles 1"),
+            ("net_storm", "cycles 100001"),
+            ("value_domain", "cycles 4"),
+            ("blackout", "warmup 1"),
+            ("blackout", "recovery 0"),
+            ("blackout", "down 0"),
+            ("blackout", "min_reset 0"),
+            ("blackout", "min_reset 7"),
+            ("blackout", "min_reset 5\ninclude_cus off"),
+            ("recovery", "cycles 29"),
+            ("weakly_hard", "horizon_jobs 4\ncontract 1 8"),
+            ("weakly_hard", "horizon_jobs 65"),
+            ("weakly_hard", "interval 0 100"),
+            ("weakly_hard", "interval 100 100"),
+            ("multicore", "cores 1"),
+            ("multicore", "horizon 2"),
+        ]
+        .iter()
+        .map(|(family, params)| {
+            spec(&format!(
+                "scenario m\nfamily {family}\ntrials 2\nseed 1\nparams\n{params}\nend\nend\n"
+            ))
+        })
+        .collect();
+        mutants.push(spec(
+            "scenario m\nfamily cluster\ntrials 2\nseed 1\ntopology\ncycles 1\nend\nend\n",
+        ));
+        // A rate the parser already refuses, built directly.
+        let mut storm = spec("scenario m\nfamily net_storm\ntrials 2\nseed 1\nend\n");
+        if let FamilyParams::NetStorm { intensity, .. } = &mut storm.params {
+            *intensity = f64::NAN;
+        }
+        mutants.push(storm);
+        for mutant in &mutants {
+            let compiled = std::panic::catch_unwind(|| compile(mutant, 1));
+            assert!(matches!(compiled, Ok(Err(_))), "{:?}", mutant.params);
+        }
+    }
+
+    #[test]
+    fn compile_accepts_the_boundary_values() {
+        for (family, params) in [
+            ("value_domain", "cycles 8"),
+            ("blackout", "warmup 2\nrecovery 1\nmin_reset 6"),
+            ("blackout", "min_reset 4\ninclude_cus off"),
+            ("recovery", "cycles 30"),
+            ("weakly_hard", "horizon_jobs 8\ncontract 1 8\ninterval 1 2"),
+            ("multicore", "horizon 4"),
+        ] {
+            let source = format!(
+                "scenario b\nfamily {family}\ntrials 1\nseed 1\nparams\n{params}\nend\nend\n"
+            );
+            assert!(compile(&spec(&source), 1).is_ok(), "{family}: {params}");
+        }
+    }
+
+    const STORM: &str =
+        "scenario storm\nfamily net_storm\ntrials 6\nseed 0x5708\nparams\ncycles 12\nend\nend\n";
+
+    /// `source` run at one worker; returns its outcome and the checkpoint
+    /// taken after four trials.
+    fn checkpointed(source: &str) -> (ScenarioOutcome, String) {
+        let first = std::cell::RefCell::new(None);
+        let save = |_: u64, text: String| {
+            first.borrow_mut().get_or_insert(text);
+        };
+        let opts = ScenarioEngineOptions {
+            checkpoint_every: 4,
+            on_checkpoint: Some(&save),
+            ..ScenarioEngineOptions::default()
+        };
+        let outcome = run_scenario_with(&spec(source), 1, &opts).unwrap();
+        (outcome, first.into_inner().unwrap())
+    }
+
+    fn resumed(source: &str, threads: usize, text: &str) -> Result<ScenarioOutcome, CompileError> {
+        let opts = ScenarioEngineOptions {
+            resume: Some(text.to_string()),
+            ..ScenarioEngineOptions::default()
+        };
+        run_scenario_with(&spec(source), threads, &opts)
+    }
+
+    /// The refusal of resuming `source` from `text`.
+    fn refusal(source: &str, text: &str) -> String {
+        let e = resumed(source, 1, text).unwrap_err();
+        assert!(e.message.starts_with("bad resume checkpoint: "), "{e}");
+        e.message
+    }
+
+    #[test]
+    fn a_mid_run_checkpoint_resumes_to_the_same_outcome() {
+        let (whole, text) = checkpointed(STORM);
+        assert!(text.starts_with("scenario storm resume 4 tally net_storm "));
+        for threads in [1, 2] {
+            assert_eq!(resumed(STORM, threads, &text).unwrap(), whole);
+        }
+    }
+
+    #[test]
+    fn resume_refuses_another_scenarios_checkpoint() {
+        let other = STORM.replace("scenario storm", "scenario other");
+        let e = refusal(&other, &checkpointed(STORM).1);
+        assert!(e.contains("for scenario `storm`"), "{e}");
+    }
+
+    #[test]
+    fn resume_refuses_another_familys_checkpoint() {
+        let recovery = "scenario storm\nfamily recovery\ntrials 6\nseed 1\nend\n";
+        let e = refusal(recovery, &checkpointed(STORM).1);
+        assert!(e.contains("family `net_storm`, not `recovery`"), "{e}");
+    }
+
+    #[test]
+    fn resume_refuses_a_checkpoint_of_another_span() {
+        let longer = STORM.replace("cycles 12", "cycles 13");
+        let e = refusal(&longer, &checkpointed(STORM).1);
+        assert!(e.contains("spans 12 cycles"), "{e}");
+    }
+
+    #[test]
+    fn resume_refuses_more_trials_done_than_the_scenario_has() {
+        let shorter = STORM.replace("trials 6", "trials 3");
+        let e = refusal(&shorter, &checkpointed(STORM).1);
+        assert!(e.contains("4 trials done, the scenario has 3"), "{e}");
+    }
+
+    #[test]
+    fn resume_refuses_a_tally_that_does_not_hold_the_trials_done() {
+        let forged = checkpointed(STORM).1.replace("resume 4 ", "resume 2 ");
+        let e = refusal(STORM, &forged);
+        assert!(
+            e.contains("tally holds 4 trials, the checkpoint claims 2"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn resume_refuses_malformed_checkpoints() {
+        let text = checkpointed(STORM).1;
+        let truncated = &text[..text.trim_end().rfind(' ').unwrap()];
+        for bad in [
+            "",
+            truncated,
+            &format!("{text} 7"),
+            &text.replace("net_storm", "no_such_family"),
+            &text.replace("net_storm 12", "net_storm 4294967295"),
+        ] {
+            refusal(STORM, bad);
+        }
+    }
+
+    #[test]
+    fn storm_and_blackout_outcomes_do_not_grow_with_the_trial_count() {
+        let size = |o: &ScenarioOutcome| {
+            let bins: usize = o.distributions.iter().map(|(_, h)| h.bins().len()).sum();
+            o.verdicts.len() + o.metrics.len() + o.details.len() + bins
+        };
+        for family in ["net_storm", "blackout"] {
+            let (few, more) = (
+                run_params(family, 2, 3, "", 2),
+                run_params(family, 8, 3, "", 2),
+            );
+            assert!(more.distributions.iter().any(|(_, h)| h.count() > 0));
+            assert_eq!(size(&few), size(&more), "{family}");
+        }
     }
 }

@@ -8,9 +8,10 @@ use nlft_bbw::analytic::{BbwSystem, Functionality, Policy};
 use nlft_bbw::cluster::BbwCluster;
 use nlft_bbw::montecarlo::{run_monte_carlo, MonteCarloConfig};
 use nlft_bbw::params::BbwParams;
+use nlft_bbw::scenario::run_scenario;
 use nlft_bbw::sensor::{PedalSensorArray, PedalVoterConfig, SensorFault, PEDAL_MAX};
-use nlft_bbw::value_campaign::{run_value_domain_campaign, ValueDomainCampaignConfig};
 use nlft_reliability::model::ReliabilityModel;
+use nlft_reliability::scenario::parse_scenario;
 use nlft_sim::rng::RngStream;
 use nlft_testkit::prop::Suite;
 use nlft_testkit::rng::TkRng;
@@ -389,17 +390,20 @@ fn single_fault_campaigns_have_no_silent_failures_for_any_seed() {
         "single_fault_campaigns_have_no_silent_failures_for_any_seed",
         |r: &mut TkRng| r.next_u64(),
         |&seed| {
-            let mut cfg = ValueDomainCampaignConfig::single_fault(6, seed);
-            cfg.cycles = 20;
-            let result = run_value_domain_campaign(&cfg);
+            let spec = parse_scenario(&format!(
+                "scenario coverage\nfamily value_domain\ntrials 6\nseed {seed}\n\
+                 params\ncycles 20\nmode single_fault\nend\nend\n"
+            ))
+            .expect("scenario parses");
+            let result = run_scenario(&spec, 1).expect("scenario runs");
             prop_assert_eq!(
-                result.outcomes.undetected,
-                0,
+                result.counter("undetected"),
+                Some(0),
                 "silent trial under seed {}",
                 seed
             );
-            prop_assert_eq!(result.outcomes.service_lost, 0);
-            prop_assert_eq!(result.undetected_value_failures, 0);
+            prop_assert_eq!(result.counter("service_lost"), Some(0));
+            prop_assert_eq!(result.counter("undetected_value_failures"), Some(0));
             Ok(())
         },
     );

@@ -1,35 +1,20 @@
 //! The scenario zoo's executable guarantees: every zoo file runs
 //! through the DSL pipeline bit-identically at 1, 2 and 5 threads and
-//! matches its golden pin, and the two reference scenarios are proven
-//! equivalent — same verdict counts — to their pre-existing hand-wired
-//! campaign counterparts.
+//! matches its golden pin, and the node-level `core-death-mid-section`
+//! is proven equivalent — same verdict counts — to its hand-wired
+//! campaign counterpart.
 
 use std::path::PathBuf;
 
-use nlft_bbw::cluster_campaign::{run_net_storm_campaign, NetStormCampaignConfig};
 use nlft_bbw::scenario::{check_accept, run_scenario};
 use nlft_core::multicore_campaign::{run_multicore_campaign, MulticoreCampaignConfig};
-use nlft_reliability::scenario::{parse_scenario, ScenarioSpec};
+use nlft_reliability::scenario::{load_zoo, ScenarioSpec};
 
 fn zoo() -> Vec<(String, ScenarioSpec)> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("scenarios");
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-        .expect("scenarios/ exists")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "scn"))
-        .collect();
-    paths.sort();
-    paths
-        .into_iter()
-        .map(|p| {
-            let file = p.file_name().unwrap().to_string_lossy().into_owned();
-            let source = std::fs::read_to_string(&p).expect("zoo file readable");
-            let spec = parse_scenario(&source).unwrap_or_else(|e| panic!("{file}: {e}"));
-            (file, spec)
-        })
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    let zoo = load_zoo(&dir).unwrap_or_else(|e| panic!("{e}"));
+    zoo.into_iter()
+        .map(|(p, spec)| (p.file_name().unwrap().to_string_lossy().into_owned(), spec))
         .collect()
 }
 
@@ -56,46 +41,7 @@ fn zoo_pins_hold_at_1_2_and_5_threads() {
     }
 }
 
-/// Equivalence proof #1: the DSL's `net-storm-nominal` is the same
-/// experiment as the hand-wired golden-pinned storm campaign.
-#[test]
-fn net_storm_nominal_equals_hand_wired_campaign() {
-    let spec = by_name("net-storm-nominal");
-    let outcome = run_scenario(&spec, 1).expect("scenario runs");
-
-    let mut config = NetStormCampaignConfig::new(spec.trials, spec.seed);
-    config.cycles = 20;
-    let direct = run_net_storm_campaign(&config);
-
-    assert_eq!(
-        outcome.counter("split_membership"),
-        Some(direct.outcomes.split_membership)
-    );
-    assert_eq!(
-        outcome.counter("service_lost"),
-        Some(direct.outcomes.service_lost)
-    );
-    assert_eq!(
-        outcome.counter("degraded_episode"),
-        Some(direct.outcomes.degraded_episode)
-    );
-    assert_eq!(
-        outcome.counter("omission_only"),
-        Some(direct.outcomes.omission_only)
-    );
-    assert_eq!(
-        outcome.counter("unaffected"),
-        Some(direct.outcomes.unaffected)
-    );
-    assert_eq!(outcome.counter("injected"), Some(direct.injected.total()));
-    assert_eq!(outcome.counter("crc_rejects"), Some(direct.crc_rejects));
-    assert_eq!(
-        outcome.counter("guardian_blocks"),
-        Some(direct.guardian_blocks)
-    );
-}
-
-/// Equivalence proof #2: the DSL's `core-death-mid-section` is the same
+/// Equivalence proof: the DSL's `core-death-mid-section` is the same
 /// experiment as the hand-wired multicore core-death campaign.
 #[test]
 fn core_death_mid_section_equals_hand_wired_campaign() {

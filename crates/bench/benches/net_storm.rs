@@ -4,41 +4,48 @@
 //! coverage parameters, reintegration latency percentiles) under
 //! `<target>/testkit/`.
 
-use nlft_bbw::{run_net_storm_campaign, NetStormCampaignConfig, NetStormCampaignResult};
+use nlft_bbw::scenario::{run_scenario, ScenarioOutcome};
+use nlft_reliability::scenario::parse_scenario;
 use nlft_testkit::bench::{artifact_path, Bench};
 use nlft_testkit::json::Json;
 use std::hint::black_box;
 
-fn campaign(trials: u64, threads: usize) -> NetStormCampaignResult {
-    let mut config = NetStormCampaignConfig::new(trials, 0x5702_2005);
-    config.threads = threads;
-    run_net_storm_campaign(&config)
+fn campaign(trials: u64, threads: usize) -> ScenarioOutcome {
+    let spec = parse_scenario(&format!(
+        "scenario net-storm-bench\nfamily net_storm\ntrials {trials}\nseed 0x57022005\nend\n"
+    ))
+    .expect("bench scenario parses");
+    run_scenario(&spec, threads).expect("bench scenario runs")
 }
 
-fn report(result: &NetStormCampaignResult) -> Json {
-    let o = &result.outcomes;
-    let frac = |n: u64| Json::Num(n as f64 / o.trials as f64);
+fn report(result: &ScenarioOutcome) -> Json {
+    let c = |name: &str| result.counter(name).expect("net_storm counter");
+    let frac = |name: &str| Json::Num(c(name) as f64 / result.trials as f64);
+    let rate = |num: &str, den: &str| Json::Num(c(num) as f64 / c(den).max(1) as f64);
     let latency = |pct: u32| {
         result
-            .reintegration_percentile(pct)
+            .percentile("reintegration_latencies", pct)
             .map_or(Json::Null, |v| Json::UInt(u64::from(v)))
     };
     Json::obj([
-        ("trials", Json::UInt(o.trials)),
-        ("unaffected", frac(o.unaffected)),
-        ("omission_only", frac(o.omission_only)),
-        ("degraded_episode", frac(o.degraded_episode)),
-        ("service_lost", frac(o.service_lost)),
-        ("split_membership", frac(o.split_membership)),
-        ("injected_faults", Json::UInt(result.injected.total())),
-        ("crc_reject_rate", Json::Num(result.crc_reject_rate())),
+        ("trials", Json::UInt(result.trials)),
+        ("unaffected", frac("unaffected")),
+        ("omission_only", frac("omission_only")),
+        ("degraded_episode", frac("degraded_episode")),
+        ("service_lost", frac("service_lost")),
+        ("split_membership", frac("split_membership")),
+        ("injected_faults", Json::UInt(c("injected"))),
+        (
+            "crc_reject_rate",
+            rate("crc_rejects", "corruptions_applied"),
+        ),
         (
             "guardian_block_rate",
-            Json::Num(result.guardian_block_rate()),
+            rate("guardian_blocks", "injected_babbles"),
         ),
         (
             "masquerade_reject_rate",
-            Json::Num(result.masquerade_reject_rate()),
+            rate("masquerade_rejects", "masquerades_applied"),
         ),
         ("reintegration_p50_cycles", latency(50)),
         ("reintegration_p95_cycles", latency(95)),

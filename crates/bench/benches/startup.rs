@@ -4,42 +4,50 @@
 //! `STARTUP.json` (recovery fraction, cold-start and membership
 //! latencies, big-bang/clique-revert counts) under `<target>/testkit/`.
 
-use nlft_bbw::{run_blackout_campaign, BlackoutCampaignConfig, BlackoutCampaignResult};
+use nlft_bbw::scenario::{run_scenario, ScenarioOutcome};
+use nlft_reliability::scenario::parse_scenario;
 use nlft_testkit::bench::{artifact_path, Bench};
 use nlft_testkit::json::Json;
 use std::hint::black_box;
 
-fn campaign(trials: u64, threads: usize) -> BlackoutCampaignResult {
-    let mut config = BlackoutCampaignConfig::new(trials, 0xB1AC_2005);
-    config.threads = threads;
-    run_blackout_campaign(&config)
+fn campaign(trials: u64, threads: usize) -> ScenarioOutcome {
+    let spec = parse_scenario(&format!(
+        "scenario startup-bench\nfamily blackout\ntrials {trials}\nseed 0xB1AC2005\nend\n"
+    ))
+    .expect("bench scenario parses");
+    run_scenario(&spec, threads).expect("bench scenario runs")
 }
 
-fn report(result: &BlackoutCampaignResult) -> Json {
+fn report(result: &ScenarioOutcome) -> Json {
+    let c = |name: &str| result.counter(name).expect("blackout counter");
     let membership = |pct: u32| {
         result
-            .membership_percentile(pct)
+            .percentile("time_to_full_membership", pct)
             .map_or(Json::Null, |v| Json::UInt(u64::from(v)))
     };
+    let trials = result.trials as f64;
     Json::obj([
         ("trials", Json::UInt(result.trials)),
-        ("recovery_fraction", Json::Num(result.recovery_fraction())),
+        (
+            "recovery_fraction",
+            Json::Num(c("full_recoveries") as f64 / trials),
+        ),
         (
             "cold_start_fraction",
-            Json::Num(result.cold_start_trials as f64 / result.trials as f64),
+            Json::Num(c("cold_start_trials") as f64 / trials),
         ),
-        ("big_bangs", Json::UInt(result.big_bangs)),
-        ("clique_reverts", Json::UInt(result.clique_reverts)),
-        ("guardian_blocks", Json::UInt(result.guardian_blocks)),
+        ("big_bangs", Json::UInt(c("big_bangs"))),
+        ("clique_reverts", Json::UInt(c("clique_reverts"))),
+        ("guardian_blocks", Json::UInt(c("guardian_blocks"))),
         (
             "held_setpoint_cycles",
-            Json::UInt(result.held_setpoint_cycles),
+            Json::UInt(c("held_setpoint_cycles")),
         ),
         ("membership_p50_cycles", membership(50)),
         ("membership_p95_cycles", membership(95)),
         (
             "integration_latency_mean_cycles",
-            Json::Num(result.integration_latency_mean()),
+            Json::Num(result.mean("integration_latencies").unwrap_or(0.0)),
         ),
     ])
 }

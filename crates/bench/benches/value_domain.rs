@@ -5,52 +5,64 @@
 //! braking-safety metrics, command-path counters) under
 //! `<target>/testkit/`.
 
-use nlft_bbw::{run_value_domain_campaign, ValueDomainCampaignConfig, ValueDomainCampaignResult};
+use nlft_bbw::scenario::{run_scenario, ScenarioOutcome};
+use nlft_reliability::scenario::parse_scenario;
 use nlft_testkit::bench::{artifact_path, Bench};
 use nlft_testkit::json::Json;
 use std::hint::black_box;
 
-fn single_fault(trials: u64, threads: usize) -> ValueDomainCampaignResult {
-    let mut config = ValueDomainCampaignConfig::single_fault(trials, 0x5EA1_2005);
-    config.threads = threads;
-    run_value_domain_campaign(&config)
+fn campaign(trials: u64, threads: usize, seed: u64, params: &str) -> ScenarioOutcome {
+    let spec = parse_scenario(&format!(
+        "scenario value-domain-bench\nfamily value_domain\ntrials {trials}\nseed {seed}\n\
+         params\n{params}\nend\nend\n"
+    ))
+    .expect("bench scenario parses");
+    run_scenario(&spec, threads).expect("bench scenario runs")
 }
 
-fn combined_storm(trials: u64, threads: usize) -> ValueDomainCampaignResult {
-    let mut config = ValueDomainCampaignConfig::combined_storm(trials, 0x5EA1_2006);
-    config.threads = threads;
-    run_value_domain_campaign(&config)
+fn single_fault(trials: u64, threads: usize) -> ScenarioOutcome {
+    campaign(trials, threads, 0x5EA1_2005, "mode single_fault")
 }
 
-fn report(result: &ValueDomainCampaignResult) -> Json {
-    let o = &result.outcomes;
-    let frac = |n: u64| Json::Num(n as f64 / o.trials as f64);
+fn combined_storm(trials: u64, threads: usize) -> ScenarioOutcome {
+    campaign(
+        trials,
+        threads,
+        0x5EA1_2006,
+        "mode combined_storm\nnet_intensity 0.2",
+    )
+}
+
+fn report(result: &ScenarioOutcome) -> Json {
+    let c = |name: &str| result.counter(name).expect("value_domain counter");
+    let frac = |name: &str| Json::Num(c(name) as f64 / result.trials as f64);
+    let uint = |name: &str| Json::UInt(c(name));
     Json::obj([
-        ("trials", Json::UInt(o.trials)),
-        ("masked", frac(o.masked)),
-        ("detected", frac(o.detected)),
-        ("service_lost", frac(o.service_lost)),
-        ("undetected", frac(o.undetected)),
-        ("detection_coverage", Json::Num(result.detection_coverage())),
+        ("trials", Json::UInt(result.trials)),
+        ("masked", frac("masked")),
+        ("detected", frac("detected")),
+        ("service_lost", frac("service_lost")),
+        ("undetected", frac("undetected")),
+        (
+            "detection_coverage",
+            Json::Num(1.0 - c("undetected") as f64 / result.trials as f64),
+        ),
         (
             "worst_total_force_deficit",
-            Json::UInt(u64::from(result.worst_total_force_deficit)),
+            uint("worst_total_force_deficit"),
         ),
         (
             "worst_left_right_imbalance",
-            Json::UInt(u64::from(result.worst_left_right_imbalance)),
+            uint("worst_left_right_imbalance"),
         ),
-        ("seal_rejects", Json::UInt(result.seal_rejects)),
-        ("stale_rejects", Json::UInt(result.stale_rejects)),
-        (
-            "held_setpoint_cycles",
-            Json::UInt(result.held_setpoint_cycles),
-        ),
-        ("sensor_demotions", Json::UInt(result.sensor_demotions)),
-        ("actuator_trips", Json::UInt(result.actuator_trips)),
+        ("seal_rejects", uint("seal_rejects")),
+        ("stale_rejects", uint("stale_rejects")),
+        ("held_setpoint_cycles", uint("held_setpoint_cycles")),
+        ("sensor_demotions", uint("sensor_demotions")),
+        ("actuator_trips", uint("actuator_trips")),
         (
             "undetected_value_failures",
-            Json::UInt(result.undetected_value_failures),
+            uint("undetected_value_failures"),
         ),
     ])
 }

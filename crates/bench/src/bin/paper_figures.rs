@@ -248,16 +248,24 @@ fn main() {
         "{}",
         report::heading("Extension — distributed fault injection over the executable cluster")
     );
-    let cfg = nlft_bbw::cluster_campaign::ClusterCampaignConfig::new(trials.min(2_000), 0xC1A5);
-    let r = nlft_bbw::cluster_campaign::run_cluster_campaign(&cfg);
+    // One machine-level transient per run, no network faults.
+    let spec = nlft_reliability::scenario::parse_scenario(&format!(
+        "scenario distributed-fault-injection\nfamily net_storm\ntrials {}\nseed 0xC1A5\n\
+         params\ncycles 10\nintensity 0\nnode_faults on\nend\nend\n",
+        trials.clamp(1, 2_000)
+    ))
+    .expect("built-in scenario parses");
+    let r = nlft_bbw::scenario::run_scenario(&spec, 1).expect("built-in scenario runs");
+    let c = |name: &str| r.counter(name).expect("net_storm counter");
     println!(
-        "{} cluster runs, one machine-level transient each:\n  invisible at the vehicle boundary: {} ({:.1}%)\n  omission-only episodes: {}\n  degraded-mode episodes: {}\n  braking lost: {}",
+        "{} cluster runs, one machine-level transient each:\n  invisible at the vehicle boundary: {} ({:.1}%)\n  omission-only episodes: {}\n  degraded-mode episodes: {}\n  braking lost: {}\n  split membership: {}",
         r.trials,
-        r.unaffected,
-        r.masking_fraction() * 100.0,
-        r.omission_only,
-        r.degraded_episode,
-        r.service_lost
+        c("unaffected"),
+        c("unaffected") as f64 / r.trials as f64 * 100.0,
+        c("omission_only"),
+        c("degraded_episode"),
+        c("service_lost"),
+        c("split_membership")
     );
 
     print!(

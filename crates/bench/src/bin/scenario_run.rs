@@ -14,20 +14,28 @@
 //!   substring.
 //! * `run` — run matching scenarios, print their verdict/metric
 //!   counters and digests, and check each acceptance clause; exits
-//!   non-zero if any clause fails. Engine flags (cluster family only;
-//!   any other matching scenario is refused and fails the run):
+//!   non-zero if any clause fails. Engine flags (the five cluster
+//!   families — `cluster`, `net_storm`, `value_domain`, `blackout`,
+//!   `recovery`; a matching node-level scenario is refused and fails the
+//!   run):
 //!   `--engine` forces the threaded executor even at one worker (the
 //!   digest must not change — CI uses this as a differential gate
 //!   against the sequential reference), `--trial-budget-ms` sets a
 //!   per-trial wall-clock budget (an overrunning trial is reported as
 //!   timed out), `--checkpoint FILE` streams resumable
 //!   checkpoints to a file every `--checkpoint-every` trials, and
-//!   `--resume FILE` continues a previously checkpointed run.
+//!   `--resume FILE` continues a previously checkpointed run of the
+//!   same scenario (a checkpoint of another scenario, family or trial
+//!   count is refused).
 //! * `verify` — the CI gate: every matching scenario runs at 1, 2 and
 //!   5 threads; the three outcomes must be bit-identical and match the
 //!   scenario's `pin`. Fails hard on drift or a missing pin.
 //! * `pin` — print the `pin 0x…` line for each scenario (for authoring
 //!   new zoo entries).
+//!
+//! Unknown flags, missing values, non-numeric values and
+//! `--checkpoint-every` without `--checkpoint` print the usage and exit
+//! with status 2.
 
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
@@ -37,7 +45,7 @@ use std::time::Duration;
 use nlft_bbw::scenario::{
     check_accept, run_scenario, run_scenario_with, ScenarioEngineOptions, ScenarioOutcome,
 };
-use nlft_reliability::scenario::{parse_scenario, ScenarioSpec};
+use nlft_reliability::scenario::{load_zoo, ScenarioSpec};
 
 /// The `scenarios/` directory at the workspace root.
 fn zoo_dir() -> PathBuf {
@@ -47,24 +55,11 @@ fn zoo_dir() -> PathBuf {
         .join("scenarios")
 }
 
-/// Loads every `*.scn` file, sorted by file name for a stable order.
-fn load_zoo(filter: Option<&str>) -> Result<Vec<(PathBuf, ScenarioSpec)>, String> {
-    let dir = zoo_dir();
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "scn"))
-        .collect();
-    paths.sort();
-    let mut zoo = Vec::new();
-    for path in paths {
-        let source = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let spec = parse_scenario(&source).map_err(|e| format!("{}: {e}", path.display()))?;
-        if filter.is_none_or(|f| spec.name.contains(f)) {
-            zoo.push((path, spec));
-        }
-    }
+/// Loads every `*.scn` file whose scenario name contains `filter`,
+/// sorted by file name for a stable order.
+fn load(filter: Option<&str>) -> Result<Vec<(PathBuf, ScenarioSpec)>, String> {
+    let mut zoo = load_zoo(&zoo_dir())?;
+    zoo.retain(|(_, spec)| filter.is_none_or(|f| spec.name.contains(f)));
     Ok(zoo)
 }
 
@@ -95,8 +90,12 @@ fn cmd_list(zoo: &[(PathBuf, ScenarioSpec)]) {
     println!("{} scenarios", zoo.len());
 }
 
-/// Engine flags collected from the command line (cluster family only).
-#[derive(Default)]
+const USAGE: &str = "usage: scenario_run [list|run|verify|pin] [filter] [--threads N] [--engine] \
+                     [--trial-budget-ms N] [--checkpoint FILE [--checkpoint-every N]] \
+                     [--resume FILE]";
+
+/// Engine flags collected from the command line (cluster families only).
+#[derive(Debug, Default, PartialEq)]
 struct EngineFlags {
     engine: bool,
     trial_budget_ms: Option<u64>,
@@ -105,24 +104,10 @@ struct EngineFlags {
     resume: Option<PathBuf>,
 }
 
-impl EngineFlags {
-    fn active(&self) -> bool {
-        self.engine
-            || self.trial_budget_ms.is_some()
-            || self.checkpoint.is_some()
-            || self.resume.is_some()
-    }
-}
-
 fn cmd_run(zoo: &[(PathBuf, ScenarioSpec)], threads: usize, flags: &EngineFlags) -> bool {
     let mut ok = true;
     for (_, spec) in zoo {
         println!("== {} ({})", spec.name, spec.params.family());
-        if flags.active() && spec.params.family() != "cluster" {
-            ok = false;
-            println!("  refused: engine flags apply to cluster-family scenarios only");
-            continue;
-        }
         let resume = match &flags.resume {
             Some(path) => match std::fs::read_to_string(path) {
                 Ok(text) => Some(text),
@@ -182,7 +167,7 @@ fn cmd_run(zoo: &[(PathBuf, ScenarioSpec)], threads: usize, flags: &EngineFlags)
             }
             Err(e) => {
                 ok = false;
-                println!("  compile FAILED: {e}");
+                println!("  refused: {e}");
             }
         }
     }
@@ -252,39 +237,75 @@ fn cmd_pin(zoo: &[(PathBuf, ScenarioSpec)]) -> bool {
     true
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = args.first().map(String::as_str).unwrap_or("list");
-    let mut filter = None;
-    let mut threads = 1usize;
-    let mut flags = EngineFlags::default();
+/// Command-line options.
+#[derive(Debug, PartialEq)]
+struct Options {
+    command: String,
+    filter: Option<String>,
+    threads: usize,
+    flags: EngineFlags,
+}
+
+/// Parses the arguments after the program name: the command, then an
+/// optional name filter and flags in any order.
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut opts = Options {
+        command: args.first().cloned().unwrap_or_else(|| "list".to_string()),
+        filter: None,
+        threads: 1,
+        flags: EngineFlags::default(),
+    };
     let mut it = args.iter().skip(1);
     while let Some(arg) = it.next() {
+        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
+        let number = |flag: &str, v: &String| -> Result<u64, String> {
+            v.parse()
+                .map_err(|_| format!("{flag}: '{v}' is not an unsigned integer"))
+        };
         match arg.as_str() {
             "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
+                let n = number(arg, value(arg)?)?;
+                opts.threads = usize::try_from(n)
+                    .ok()
                     .filter(|&t| t > 0)
-                    .unwrap_or(1);
+                    .ok_or("--threads must be a positive integer")?;
             }
-            "--engine" => flags.engine = true,
+            "--engine" => opts.flags.engine = true,
             "--trial-budget-ms" => {
-                flags.trial_budget_ms = it.next().and_then(|v| v.parse().ok());
+                opts.flags.trial_budget_ms = Some(number(arg, value(arg)?)?);
             }
-            "--checkpoint" => {
-                flags.checkpoint = it.next().map(PathBuf::from);
-            }
+            "--checkpoint" => opts.flags.checkpoint = Some(PathBuf::from(value(arg)?)),
             "--checkpoint-every" => {
-                flags.checkpoint_every = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
+                opts.flags.checkpoint_every = number(arg, value(arg)?)?;
             }
-            "--resume" => {
-                flags.resume = it.next().map(PathBuf::from);
-            }
-            _ => filter = Some(arg.as_str()),
+            "--resume" => opts.flags.resume = Some(PathBuf::from(value(arg)?)),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
+            name if opts.filter.is_none() => opts.filter = Some(name.to_string()),
+            extra => return Err(format!("unexpected argument '{extra}'")),
         }
     }
-    let zoo = match load_zoo(filter) {
+    if opts.flags.checkpoint_every > 0 && opts.flags.checkpoint.is_none() {
+        return Err("--checkpoint-every needs --checkpoint".to_string());
+    }
+    Ok(opts)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Options {
+        command,
+        filter,
+        threads,
+        flags,
+    } = match parse_args(&args) {
+        Ok(opts) => opts,
+        Err(msg) => {
+            eprintln!("scenario_run: {msg}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let filter = filter.as_deref();
+    let zoo = match load(filter) {
         Ok(zoo) => zoo,
         Err(e) => {
             eprintln!("error: {e}");
@@ -295,7 +316,7 @@ fn main() -> ExitCode {
         eprintln!("no scenarios match");
         return ExitCode::FAILURE;
     }
-    let ok = match command {
+    let ok = match command.as_str() {
         "list" => {
             cmd_list(&zoo);
             true
@@ -312,5 +333,59 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Options, String> {
+        parse_args(
+            &line
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn defaults_and_every_flag_parse() {
+        let defaults = parse("").unwrap();
+        assert_eq!((defaults.command.as_str(), defaults.threads), ("list", 1));
+        assert_eq!(
+            (defaults.filter, defaults.flags),
+            (None, EngineFlags::default())
+        );
+        let all = parse(
+            "run --threads 2 storm --engine --trial-budget-ms 500 \
+             --checkpoint ck --checkpoint-every 3 --resume old",
+        )
+        .unwrap();
+        assert_eq!((all.filter.as_deref(), all.threads), (Some("storm"), 2));
+        let flags = EngineFlags {
+            engine: true,
+            trial_budget_ms: Some(500),
+            checkpoint: Some("ck".into()),
+            checkpoint_every: 3,
+            resume: Some("old".into()),
+        };
+        assert_eq!(all.flags, flags);
+    }
+
+    #[test]
+    fn bad_arguments_are_refused() {
+        for bad in [
+            "run --threads abc",
+            "run --threads 0",
+            "run --trial-budget-ms soon",
+            "run --checkpoint-every x --checkpoint f",
+            "run --checkpoint",
+            "run --thread 2",
+            "run a b",
+            "run --checkpoint-every 4",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be refused");
+        }
     }
 }

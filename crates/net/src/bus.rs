@@ -429,7 +429,9 @@ impl Bus {
         payload: Vec<u32>,
     ) -> Result<(), TransmitError> {
         let slot = self.owned_slot(node)?;
-        self.transmit_in_slot(node, slot, payload)
+        let frame = self.stage_static(node, slot, payload.len())?;
+        frame.payload = payload;
+        Ok(())
     }
 
     /// [`Bus::transmit_static`] from a borrowed payload, copied into the
@@ -449,10 +451,7 @@ impl Bus {
         payload: &[u32],
     ) -> Result<(), TransmitError> {
         let slot = self.owned_slot(node)?;
-        let frame = self.stage_static(node, slot, payload.len())?;
-        frame.payload.clear();
-        frame.payload.extend_from_slice(payload);
-        Ok(())
+        self.transmit_in_slot(node, slot, payload)
     }
 
     /// The slot `node` owns; the guardian blocks a node that owns none.
@@ -469,6 +468,8 @@ impl Bus {
 
     /// Transmits claiming an explicit slot — the bus guardian verifies
     /// ownership, so this is how babbling-idiot behaviour is modelled.
+    /// The payload is copied into the slot's recycled frame buffer, so a
+    /// blocked attempt costs no allocation.
     ///
     /// # Errors
     ///
@@ -481,10 +482,11 @@ impl Bus {
         &mut self,
         node: NodeId,
         slot: SlotId,
-        payload: Vec<u32>,
+        payload: &[u32],
     ) -> Result<(), TransmitError> {
         let frame = self.stage_static(node, slot, payload.len())?;
-        frame.payload = payload;
+        frame.payload.clear();
+        frame.payload.extend_from_slice(payload);
         Ok(())
     }
 
@@ -768,7 +770,7 @@ mod tests {
         let mut bus = bus3();
         bus.start_cycle();
         let err = bus
-            .transmit_in_slot(NodeId(0), SlotId(1), vec![9])
+            .transmit_in_slot(NodeId(0), SlotId(1), &[9])
             .unwrap_err();
         assert_eq!(
             err,

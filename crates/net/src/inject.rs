@@ -402,19 +402,6 @@ impl InjectionCounts {
             + self.reorders
             + self.blackout_resets
     }
-
-    /// Field-wise accumulation.
-    pub fn merge(&mut self, other: &InjectionCounts) {
-        self.corruptions += other.corruptions;
-        self.omissions += other.omissions;
-        self.crashes += other.crashes;
-        self.babbles += other.babbles;
-        self.masquerades += other.masquerades;
-        self.clock_glitches += other.clock_glitches;
-        self.duplicates += other.duplicates;
-        self.reorders += other.reorders;
-        self.blackout_resets += other.blackout_resets;
-    }
 }
 
 /// The stateful injector driving a [`NetFaultPlan`] against a [`Bus`].
@@ -585,7 +572,7 @@ impl NetFaultInjector {
                 let foreign = SlotId(((u64::from(slot.0) + shift) % n) as u8);
                 // The guardian must block this; a panic-free error return
                 // is the contract under test.
-                let _ = bus.transmit_in_slot(node, foreign, vec![0xBABB_1E00]);
+                let _ = bus.transmit_in_slot(node, foreign, &[0xBABB_1E00]);
             }
         }
         if active {

@@ -177,7 +177,7 @@ fn guardian_counts_each_babble_exactly_once() {
                 // non-zero shift, mod the slot count.
                 let foreign = SlotId((node + shift) % 4);
                 prop_assert!(bus
-                    .transmit_in_slot(NodeId(node), foreign, vec![0xBAD])
+                    .transmit_in_slot(NodeId(node), foreign, &[0xBAD])
                     .is_err());
             }
             prop_assert_eq!(bus.guardian_blocks(), attempts.len() as u64);

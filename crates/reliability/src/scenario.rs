@@ -732,6 +732,30 @@ fn expect_len(line: &Line<'_>, len: usize) -> Result<(), ScenarioError> {
     Ok(())
 }
 
+/// Reads and parses every `*.scn` file in `dir`, sorted by file name.
+///
+/// # Errors
+///
+/// An unreadable directory or file, or a file that does not parse, with
+/// its path.
+pub fn load_zoo(dir: &std::path::Path) -> Result<Vec<(std::path::PathBuf, ScenarioSpec)>, String> {
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
+        .filter_map(|entry| entry.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|ext| ext == "scn"))
+        .collect();
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|path| {
+            let source = std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            let spec = parse_scenario(&source).map_err(|e| format!("{}: {e}", path.display()))?;
+            Ok((path, spec))
+        })
+        .collect()
+}
+
 /// Parses one scenario file into its typed AST.
 ///
 /// Grammar (line-oriented, `#` comments, sections closed by `end`):

@@ -18,9 +18,10 @@
 //! cargo run --release --example blackout_restart [trials]
 //! ```
 
-use nlft::bbw::blackout::{run_blackout_campaign, BlackoutCampaignConfig};
 use nlft::bbw::cluster::{BbwCluster, CU_A, CU_B, WHEELS};
+use nlft::bbw::run_scenario;
 use nlft::net::inject::{BlackoutSpec, NetFaultPlan};
+use nlft::reliability::scenario::parse_scenario;
 use nlft::sim::rng::RngStream;
 
 fn act_one() {
@@ -83,48 +84,60 @@ fn act_one() {
 
 fn act_two(trials: u64) {
     println!("\n=== act 2: blackout-survival campaign ({trials} trials) ===");
-    let mut config = BlackoutCampaignConfig::new(trials, 0xB1AC_2005);
-    config.threads = std::thread::available_parallelism()
+    let spec = parse_scenario(&format!(
+        "scenario blackout-campaign\nfamily blackout\ntrials {trials}\nseed 0xB1AC2005\nend\n"
+    ))
+    .expect("scenario parses");
+    let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let result = run_blackout_campaign(&config);
+    let result = run_scenario(&spec, threads).expect("scenario runs");
+    let c = |name: &str| result.counter(name).expect("blackout counter");
 
     println!(
         "recovered to full membership: {} of {} trials ({:.1}%)",
-        result.full_recoveries,
+        c("full_recoveries"),
         result.trials,
-        100.0 * result.recovery_fraction()
+        100.0 * c("full_recoveries") as f64 / result.trials as f64
     );
     println!(
         "cold-start contentions: {} trials, {} marker frames, {} big-bang rounds",
-        result.cold_start_trials, result.cold_starts_sent, result.big_bangs
+        c("cold_start_trials"),
+        c("cold_starts_sent"),
+        c("big_bangs")
     );
     println!(
         "clique reverts: {} (guardian blocks: {} — reverted nodes never babble)",
-        result.clique_reverts, result.guardian_blocks
+        c("clique_reverts"),
+        c("guardian_blocks")
     );
     println!(
         "membership recovery: p50 {:?} p95 {:?} cycles after the blackout",
-        result.membership_percentile(50),
-        result.membership_percentile(95)
+        result.percentile("time_to_full_membership", 50),
+        result.percentile("time_to_full_membership", 95)
     );
     println!(
-        "braking unavailability per trial (cycles with < 3 wheels braking): {:?}",
-        result.unavailability_cycles
+        "braking unavailability per trial (cycles with < 3 wheels braking): \
+         p50 {:?} p95 {:?} max {:?}",
+        result.percentile("unavailability_cycles", 50),
+        result.percentile("unavailability_cycles", 95),
+        result.percentile("unavailability_cycles", 100)
     );
     println!(
         "hold-last-safe bridged {} command-dark cycles; mean reset->Active \
          latency {:.2} cycles",
-        result.held_setpoint_cycles,
-        result.integration_latency_mean()
+        c("held_setpoint_cycles"),
+        result.mean("integration_latencies").unwrap_or(0.0)
     );
 
     assert_eq!(
-        result.guardian_blocks, 0,
+        c("guardian_blocks"),
+        0,
         "clique avoidance must never degenerate into babbling"
     );
     assert_eq!(
-        result.full_recoveries, result.trials,
+        c("full_recoveries"),
+        result.trials,
         "every blackout in this regime must be survivable"
     );
 }

@@ -19,8 +19,9 @@
 //! ```
 
 use nlft::bbw::cluster::{BbwCluster, WHEELS};
-use nlft::bbw::{run_net_storm_campaign, NetStormCampaignConfig};
+use nlft::bbw::run_scenario;
 use nlft::net::inject::{NetFaultPlan, NetFaultRates};
+use nlft::reliability::scenario::parse_scenario;
 use nlft::sim::rng::RngStream;
 
 fn act_one() {
@@ -78,75 +79,51 @@ fn act_one() {
 
 fn act_two(trials: u64) {
     println!("\n=== act 2: cluster-wide storm campaign ({trials} trials) ===");
-    let mut config = NetStormCampaignConfig::new(trials, 0x5702_2005);
-    config.threads = std::thread::available_parallelism()
+    let spec = parse_scenario(&format!(
+        "scenario storm-campaign\nfamily net_storm\ntrials {trials}\nseed 0x57022005\n\
+         params\ncycles 30\nintensity 0.3\nnode_faults on\nend\nend\n"
+    ))
+    .expect("scenario parses");
+    let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let result = run_net_storm_campaign(&config);
+    let result = run_scenario(&spec, threads).expect("scenario runs");
+    let c = |name: &str| result.counter(name).expect("net_storm counter");
+    let rate = |num: &str, den: &str| c(num) as f64 / c(den).max(1) as f64;
 
-    let o = &result.outcomes;
-    let pct = |n: u64| 100.0 * n as f64 / o.trials as f64;
     println!("outcomes:");
-    println!(
-        "  unaffected        {:>6} ({:>5.1}%)",
-        o.unaffected,
-        pct(o.unaffected)
-    );
-    println!(
-        "  omission only     {:>6} ({:>5.1}%)",
-        o.omission_only,
-        pct(o.omission_only)
-    );
-    println!(
-        "  degraded episode  {:>6} ({:>5.1}%)",
-        o.degraded_episode,
-        pct(o.degraded_episode)
-    );
-    println!(
-        "  service lost      {:>6} ({:>5.1}%)",
-        o.service_lost,
-        pct(o.service_lost)
-    );
-    println!(
-        "  split membership  {:>6} ({:>5.1}%)",
-        o.split_membership,
-        pct(o.split_membership)
-    );
-
-    println!(
-        "injected: {} corruptions, {} omissions, {} crashes, {} babbles, \
-         {} masquerades, {} clock glitches, {} dups, {} reorders",
-        result.injected.corruptions,
-        result.injected.omissions,
-        result.injected.crashes,
-        result.injected.babbles,
-        result.injected.masquerades,
-        result.injected.duplicates,
-        result.injected.clock_glitches,
-        result.injected.reorders,
-    );
+    for (verdict, n) in &result.verdicts {
+        let pct = 100.0 * *n as f64 / result.trials as f64;
+        println!("  {verdict:<17} {n:>6} ({pct:>5.1}%)");
+    }
+    let injected: Vec<String> = result
+        .details
+        .iter()
+        .map(|(kind, n)| format!("{n} {}", kind.trim_start_matches("injected_")))
+        .collect();
+    println!("injected: {}", injected.join(", "));
     println!("measured coverage parameters:");
-    println!("  CRC reject rate        {:.4}", result.crc_reject_rate());
-    println!(
-        "  guardian block rate    {:.4}",
-        result.guardian_block_rate()
-    );
+    let crc = rate("crc_rejects", "corruptions_applied");
+    let guardian = rate("guardian_blocks", "injected_babbles");
+    println!("  CRC reject rate        {crc:.4}");
+    println!("  guardian block rate    {guardian:.4}");
     println!(
         "  masquerade reject rate {:.4}",
-        result.masquerade_reject_rate()
+        rate("masquerade_rejects", "masquerades_applied")
     );
     println!(
         "reintegration latency: p50 {:?} p95 {:?} cycles ({} reintegrations)",
-        result.reintegration_percentile(50),
-        result.reintegration_percentile(95),
-        result.reintegration_latencies.len()
+        result.percentile("reintegration_latencies", 50),
+        result.percentile("reintegration_latencies", 95),
+        c("reintegrations")
     );
 
-    assert!((result.crc_reject_rate() - 1.0).abs() < f64::EPSILON);
-    assert!((result.guardian_block_rate() - 1.0).abs() < f64::EPSILON);
+    assert!((crc - 1.0).abs() < f64::EPSILON);
+    assert!((guardian - 1.0).abs() < f64::EPSILON);
     println!(
         "\nstorms that split the cluster (<= 3 of 6 members): {} of {} trials",
-        o.split_membership, o.trials
+        c("split_membership"),
+        result.trials
     );
 }
 

@@ -23,13 +23,14 @@
 //! ```
 
 use nlft::bbw::recovery::{
-    intermittent_wheel_scenario, permanent_cu_scenario, run_recovery_cluster_campaign,
-    transient_storm_scenario, RecoveryClusterCampaignConfig,
+    intermittent_wheel_scenario, permanent_cu_scenario, transient_storm_scenario,
 };
+use nlft::bbw::run_scenario;
 use nlft::core::campaign::{run_recovery_campaign, RecoveryCampaignConfig};
 use nlft::core::diagnosis::escalation_chain;
 use nlft::kernel::escalation::EscalationPolicy;
 use nlft::reliability::dtmc::AbsorbingDtmc;
+use nlft::reliability::scenario::parse_scenario;
 
 fn act_one() {
     println!("=== act 1: transient storm — masked, ladder never moves ===");
@@ -100,48 +101,23 @@ fn node_campaign(trials: u64) {
 
 fn cluster_campaign(trials: u64) {
     println!("\n=== cluster-level recovery campaign ({trials} trials) ===");
-    let mut config = RecoveryClusterCampaignConfig::new(trials, 0x2005_AC02);
-    config.threads = std::thread::available_parallelism()
+    let spec = parse_scenario(&format!(
+        "scenario recovery-campaign\nfamily recovery\ntrials {trials}\nseed 0x2005AC02\nend\n"
+    ))
+    .expect("scenario parses");
+    let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let o = run_recovery_cluster_campaign(&config);
-    let pct = |n: u64| 100.0 * n as f64 / o.trials as f64;
-    println!(
-        "  masked transient  {:>6} ({:>5.1}%)",
-        o.masked_transient,
-        pct(o.masked_transient)
+    let o = run_scenario(&spec, threads).expect("scenario runs");
+    for (verdict, n) in &o.verdicts {
+        let pct = 100.0 * *n as f64 / o.trials as f64;
+        println!("  {verdict:<17} {n:>6} ({pct:>5.1}%)");
+    }
+    assert_eq!(
+        o.counter("service_lost"),
+        Some(0),
+        "recovery must never cost the service"
     );
-    println!(
-        "  recovered         {:>6} ({:>5.1}%)",
-        o.recovered,
-        pct(o.recovered)
-    );
-    println!(
-        "  retired           {:>6} ({:>5.1}%)",
-        o.retired,
-        pct(o.retired)
-    );
-    println!(
-        "  false retirement  {:>6} ({:>5.1}%)",
-        o.false_retirement,
-        pct(o.false_retirement)
-    );
-    println!(
-        "  missed permanent  {:>6} ({:>5.1}%)",
-        o.missed_permanent,
-        pct(o.missed_permanent)
-    );
-    println!(
-        "  service lost      {:>6} ({:>5.1}%)",
-        o.service_lost,
-        pct(o.service_lost)
-    );
-    println!(
-        "  unresolved        {:>6} ({:>5.1}%)",
-        o.unresolved,
-        pct(o.unresolved)
-    );
-    assert_eq!(o.service_lost, 0, "recovery must never cost the service");
 }
 
 fn analytic_crosscheck() {

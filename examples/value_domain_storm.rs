@@ -23,11 +23,9 @@ use nlft::bbw::analytic::{Functionality, Policy, ValueDomainSystem, HOURS_PER_YE
 use nlft::bbw::cluster::{BbwCluster, WHEELS};
 use nlft::bbw::params::BbwParams;
 use nlft::bbw::value_campaign::campaign_pedal;
-use nlft::bbw::{
-    run_value_domain_campaign, ActuatorFault, SensorFault, ValueDomainCampaignConfig,
-    ValueDomainCampaignResult, ValueDomainParams,
-};
+use nlft::bbw::{run_scenario, ActuatorFault, ScenarioOutcome, SensorFault, ValueDomainParams};
 use nlft::reliability::model::ReliabilityModel;
+use nlft::reliability::scenario::parse_scenario;
 
 fn act_one() {
     println!("=== act 1: stuck sensor + runaway actuator + corrupt command ===");
@@ -74,67 +72,66 @@ fn act_one() {
     println!("silent value failures: 0; braking service never lost");
 }
 
-fn print_campaign(result: &ValueDomainCampaignResult) {
-    let o = &result.outcomes;
-    let pct = |n: u64| 100.0 * n as f64 / o.trials as f64;
-    println!(
-        "  masked            {:>6} ({:>5.1}%)",
-        o.masked,
-        pct(o.masked)
-    );
-    println!(
-        "  detected          {:>6} ({:>5.1}%)",
-        o.detected,
-        pct(o.detected)
-    );
-    println!(
-        "  service lost      {:>6} ({:>5.1}%)",
-        o.service_lost,
-        pct(o.service_lost)
-    );
-    println!(
-        "  undetected        {:>6} ({:>5.1}%)",
-        o.undetected,
-        pct(o.undetected)
-    );
+/// Runs a `value_domain` campaign with the given parameters.
+fn campaign(trials: u64, seed: u64, params: &str) -> ScenarioOutcome {
+    let spec = parse_scenario(&format!(
+        "scenario value-campaign\nfamily value_domain\ntrials {trials}\nseed {seed}\n\
+         params\n{params}\nend\nend\n"
+    ))
+    .expect("scenario parses");
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    run_scenario(&spec, threads).expect("scenario runs")
+}
+
+/// Prints a campaign's verdicts and metrics; returns its measured
+/// detection coverage (the share of trials that were not silent).
+fn print_campaign(result: &ScenarioOutcome) -> f64 {
+    let c = |name: &str| result.counter(name).expect("value_domain counter");
+    for (verdict, n) in &result.verdicts {
+        let pct = 100.0 * *n as f64 / result.trials as f64;
+        println!("  {verdict:<17} {n:>6} ({pct:>5.1}%)");
+    }
+    let coverage = 1.0 - c("undetected") as f64 / result.trials as f64;
     println!(
         "  worst total-force deficit {:>5}, worst left/right imbalance {:>5}",
-        result.worst_total_force_deficit, result.worst_left_right_imbalance
+        c("worst_total_force_deficit"),
+        c("worst_left_right_imbalance")
     );
     println!(
         "  command path: {} seal rejects, {} stale rejects, {} held cycles",
-        result.seal_rejects, result.stale_rejects, result.held_setpoint_cycles
+        c("seal_rejects"),
+        c("stale_rejects"),
+        c("held_setpoint_cycles")
     );
     println!(
-        "  {} sensor demotions, {} actuator trips, measured coverage {:.4}",
-        result.sensor_demotions,
-        result.actuator_trips,
-        result.detection_coverage()
+        "  {} sensor demotions, {} actuator trips, measured coverage {coverage:.4}",
+        c("sensor_demotions"),
+        c("actuator_trips"),
     );
+    coverage
 }
 
 fn act_two(trials: u64) -> f64 {
     println!("\n=== act 2: single-fault coverage campaign ({trials} trials) ===");
-    let mut config = ValueDomainCampaignConfig::single_fault(trials, 0x5EA1_2005);
-    config.threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let result = run_value_domain_campaign(&config);
-    print_campaign(&result);
+    let result = campaign(trials, 0x5EA1_2005, "cycles 30\nmode single_fault");
+    let coverage = print_campaign(&result);
     assert_eq!(
-        result.outcomes.undetected, 0,
+        result.counter("undetected"),
+        Some(0),
         "single value faults must never be silent"
     );
-    result.detection_coverage()
+    coverage
 }
 
 fn act_three(trials: u64, measured_coverage: f64) {
     println!("\n=== act 3: combined storm campaign ({trials} trials) ===");
-    let mut config = ValueDomainCampaignConfig::combined_storm(trials, 0x5EA1_2006);
-    config.threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let result = run_value_domain_campaign(&config);
+    let result = campaign(
+        trials,
+        0x5EA1_2006,
+        "cycles 30\nmode combined_storm\nnet_intensity 0.2",
+    );
     print_campaign(&result);
 
     println!("\nextended fault tree, one-year mission, degraded mode:");

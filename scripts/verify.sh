@@ -43,19 +43,24 @@ cargo run --release --offline --example engine_fleet -- 5000 >/dev/null
 echo "== scenario zoo: golden pins at 1/2/5 threads =="
 cargo run --release --offline -p nlft-bench --bin scenario_run -- verify
 
-# Engine differential gate: one zoo scenario re-run through the
-# threaded executor (at four workers, then forced at one) must reproduce
-# the same golden pin as the sequential reference above — `run`
-# re-checks the pin via the acceptance clause. Also exercises a per-trial
-# budget and a checkpoint/resume round trip through the CLI flags.
+# Engine differential gate: one zoo scenario of each cluster family
+# re-run through the threaded executor (at four workers, then forced at
+# one) must reproduce the same golden pin as the sequential reference
+# above — `run` re-checks the pin via the acceptance clause. Each run
+# also exercises a per-trial budget and a checkpoint/resume round trip
+# through the CLI flags; a cadence of 5 leaves the last checkpoint
+# mid-run, so the resumed run has trials left to do.
 echo "== scenario zoo: engine path vs legacy pin =="
 ckpt="$(mktemp)"
 trap 'rm -f "$ckpt"' EXIT
-cargo run --release --offline -p nlft-bench --bin scenario_run -- \
-    run babbling-wheel --engine --threads 4 --trial-budget-ms 10000 \
-    --checkpoint "$ckpt" --checkpoint-every 4
-cargo run --release --offline -p nlft-bench --bin scenario_run -- \
-    run babbling-wheel --engine --resume "$ckpt"
+for scenario in babbling-wheel net-storm-nominal value-single-fault-coverage \
+    full-blackout-coldstart recovery-ladder-mix; do
+    cargo run --release --offline -p nlft-bench --bin scenario_run -- \
+        run "$scenario" --engine --threads 4 --trial-budget-ms 10000 \
+        --checkpoint "$ckpt" --checkpoint-every 5
+    cargo run --release --offline -p nlft-bench --bin scenario_run -- \
+        run "$scenario" --engine --resume "$ckpt"
+done
 
 # Benchmark oracle: the perfbench self-tests, then one short end-to-end
 # run per workload. Every run re-checks the scaled campaign digests in

@@ -12,8 +12,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::Path;
 
-use nlft::bbw::cluster::BbwCluster;
+use nlft::bbw::cluster::{BbwCluster, CU_B};
 use nlft::bbw::scenario::{compile, CompiledScenario};
+use nlft::net::inject::{NetFaultPlan, NetFaultRates};
 use nlft::reliability::scenario::parse_scenario;
 use nlft::sim::rng::RngStream;
 
@@ -96,6 +97,21 @@ fn warm_clean_cycle_allocates_nothing() {
 fn warm_clean_cycle_under_the_startup_protocol_allocates_nothing() {
     let mut cluster = BbwCluster::new();
     cluster.enable_startup();
+    assert_warm_cycles_allocate_nothing(cluster);
+}
+
+#[test]
+fn warm_cycle_with_a_babbling_cu_allocates_nothing() {
+    // CU_B tries to transmit in a foreign slot every cycle; the guardian
+    // refuses each attempt before a frame is staged, and CU_B's own
+    // slot still carries its command.
+    let mut cluster = BbwCluster::new();
+    let babble = NetFaultRates {
+        babble: 1.0,
+        ..NetFaultRates::QUIET
+    };
+    let plan = NetFaultPlan::quiet().with_node(CU_B, babble);
+    cluster.attach_net_faults(plan, RngStream::new(0xBABB).fork("net-injector"));
     assert_warm_cycles_allocate_nothing(cluster);
 }
 

@@ -8,9 +8,10 @@
 //! independently (phase arithmetic vs. a cycle-driven state machine fed
 //! by real bus deliveries) and must agree exactly.
 
-use nlft::bbw::blackout::{run_blackout_campaign, BlackoutCampaignConfig};
+use nlft::bbw::scenario::run_scenario;
 use nlft::net::startup::{cold_start_chain, BASE_LISTEN_TIMEOUT};
 use nlft::reliability::dtmc::AbsorbingDtmc;
+use nlft::reliability::scenario::parse_scenario;
 
 #[test]
 fn analytic_cold_start_latency_matches_the_simulated_blackout() {
@@ -19,36 +20,48 @@ fn analytic_cold_start_latency_matches_the_simulated_blackout() {
     // and always wins the contention, and — because the whole cluster
     // marches through the same phases — every node integrates with the
     // winner's latency.
-    let config = BlackoutCampaignConfig::full_blackout(4, 0xB1AC_2005);
-    let result = run_blackout_campaign(&config);
-    assert_eq!(result.full_recoveries, result.trials);
-    assert!(!result.integration_latencies.is_empty());
+    let down_cycles = 2;
+    let spec = parse_scenario(&format!(
+        "scenario full-blackout\nfamily blackout\ntrials 4\nseed 0xB1AC2005\n\
+         params\ndown {down_cycles}\nstagger 0\nmin_reset 6\ninclude_cus on\nend\nend\n"
+    ))
+    .expect("scenario parses");
+    let result = run_scenario(&spec, 1).expect("scenario runs");
+    assert_eq!(result.counter("full_recoveries"), Some(result.trials));
+    let latencies = result
+        .distribution("integration_latencies")
+        .expect("blackout measures integration latencies");
+    assert!(latencies.count() > 0);
 
     // Analytic side: `down_cycles` powered-down states, the winner's
     // listen window, one contention cycle, and two integration cycles —
     // the marker cycle brings only the winner back on the bus, its first
     // set-point cycle has two senders, and the cycle after that all six,
     // which is the first majority anyone can hear.
-    let (matrix, start, absorbing) = cold_start_chain(config.down_cycles, BASE_LISTEN_TIMEOUT, 2);
+    let (matrix, start, absorbing) = cold_start_chain(down_cycles, BASE_LISTEN_TIMEOUT, 2);
     let dtmc = AbsorbingDtmc::new(matrix, &absorbing).expect("cold-start chain is absorbing");
     let analytic = dtmc
         .expected_steps_to_absorption(start)
         .expect("Active is reachable");
 
-    let simulated = result.integration_latency_mean();
+    let simulated = result
+        .mean("integration_latencies")
+        .expect("latencies observed");
     assert!(
         (analytic - simulated).abs() < 1e-9,
         "analytic {analytic} cycles vs simulated {simulated} cycles"
     );
     // The scenario is fully deterministic, so not just the mean but every
-    // single latency must sit on the analytic value.
+    // single latency must sit on the analytic value (bin `l` counts the
+    // latency `l`).
     assert!(
-        result
-            .integration_latencies
+        latencies
+            .bins()
             .iter()
-            .all(|&l| f64::from(l) == analytic),
+            .enumerate()
+            .all(|(l, &n)| n == 0 || l as f64 == analytic),
         "latency spread in a deterministic blackout: {:?}",
-        result.integration_latencies
+        latencies.bins()
     );
 }
 
